@@ -1,57 +1,32 @@
 """TS: distributed Spark TPA scalability — preprocessing and online time
 across growing DCSBM graphs (the paper's "only TPA reaches billion scale"
 claim, scaled to this machine; Theorem 3's O(m)-per-iteration is checked
-via the per-edge-per-iteration cost in ``extra_info``).
+via the per-edge-per-iteration cost in ``extra_info``). Each size is one
+``spark_scale_table`` row.
 """
-import time
-
-import numpy as np
 import pytest
 
-from repro.core.local_cpi import n_iterations_to_converge
 from repro.core.tpa import SparkTPA
-from repro.graph.edges import vector_to_numpy
-from repro.synth_data import dcsbm_edges
-
-SIZES = [(2_000, 16_000), (8_000, 64_000), (16_000, 256_000), (32_000, 1_024_000)]
-EPS = 1e-6  # ~74 iterations at c=0.15 — per-iteration cost is what's measured
-C = 0.15
+from repro.experiments.spark_scale import DEFAULT_SIZES, spark_scale_table
+from repro.graph.edges import edges_from_numpy
+from repro.graph.generators import dcsbm
 
 
 @pytest.fixture(scope="module")
 def warm_spark(spark):
     """Run ~30 supersteps on a throwaway graph first, so JVM JIT warm-up is
     not billed to the smallest measured size (it distorted it ~4× otherwise)."""
-    edges = dcsbm_edges(spark, n=500, m=4_000, seed=99)
-    tpa = SparkTPA(spark, edges, 500, c=C, S=4, T=6, eps=1e-2)
+    _, src, dst, _ = dcsbm(500, 4_000, seed=99)
+    tpa = SparkTPA(spark, edges_from_numpy(spark, src, dst), 500, c=0.15, S=4, T=6, eps=1e-2)
     tpa.preprocess()
     tpa.query(0)
     tpa.norm_edges.unpersist()
     return spark
 
 
-@pytest.mark.parametrize("n,m", SIZES, ids=[f"n{n}_m{m}" for n, m in SIZES])
+@pytest.mark.parametrize("n,m", DEFAULT_SIZES, ids=[f"n{n}_m{m}" for n, m in DEFAULT_SIZES])
 def test_spark_tpa_scale(benchmark, warm_spark, n, m):
-    spark = warm_spark
-    edges = dcsbm_edges(spark, n=n, m=m, seed=100 + n)
-    tpa = SparkTPA(spark, edges, n, c=C, S=4, T=10, eps=EPS)
-
-    benchmark.pedantic(tpa.preprocess, rounds=1, iterations=1)
-
-    rng = np.random.default_rng(0)
-    online = []
-    for s in rng.integers(0, n, size=3):
-        t0 = time.perf_counter()
-        vector_to_numpy(tpa.query(int(s)), n)
-        online.append(time.perf_counter() - t0)
-    iters = n_iterations_to_converge(C, EPS)
-    benchmark.extra_info.update(
-        {
-            "nodes": n,
-            "edges": m,
-            "iterations": iters,
-            "online_mean_s": float(np.mean(online)),
-            "stranger_bytes": tpa.preprocessed_bytes,
-        }
+    df = benchmark.pedantic(
+        spark_scale_table, args=(warm_spark,), kwargs={"sizes": [(n, m)]}, rounds=1, iterations=1
     )
-    tpa.norm_edges.unpersist()
+    benchmark.extra_info.update(df.to_dict("records")[0])

@@ -9,7 +9,8 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.tpa import SparkTPA
-from repro.synth_data import dcsbm_edges
+from repro.graph.edges import edges_from_numpy
+from repro.graph.generators import dcsbm
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
@@ -28,7 +29,8 @@ if __name__ == "__main__":
         .getOrCreate()
     )
     try:
-        edges = dcsbm_edges(spark, n=args.n, m=args.m, seed=0)
+        _, src, dst, _ = dcsbm(args.n, args.m, seed=0)
+        edges = edges_from_numpy(spark, src, dst)
         tpa = SparkTPA(spark, edges, args.n, S=args.S, T=args.T, eps=args.eps)
         tpa.preprocess()
         r = tpa.query_np(args.seed_node)

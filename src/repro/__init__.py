@@ -5,6 +5,6 @@ vs measured numbers.
 
 Packages: ``graph`` (substrates), ``core`` (CPI + TPA, Spark and local),
 ``baselines`` (RPPR, BRPPR, NB-LIN, BEAR-APPROX, HubPPR), ``experiments``
-(datasets, runner, per-table builders), plus ``synth_data`` (generators),
-``oracle`` (DuckDB result checker), ``metrics`` and ``deadline``.
+(datasets, runner, per-table builders), plus ``oracle`` (DuckDB result
+checker), ``metrics`` and ``deadline``.
 """

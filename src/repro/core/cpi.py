@@ -19,9 +19,7 @@ from repro.graph.edges import (
     sum_vectors,
 )
 
-__all__ = ["cpi_spark", "DEFAULT_PARTITIONS"]
-
-DEFAULT_PARTITIONS = 8
+__all__ = ["cpi_spark"]
 
 
 def cpi_spark(
@@ -34,7 +32,6 @@ def cpi_spark(
     s_iter: int = 0,
     t_iter: int | None = None,
     max_iter: int = MAX_ITER,
-    num_partitions: int = DEFAULT_PARTITIONS,
 ) -> DataFrame:
     """CPI-IMPL on Spark: returns the (sparse) vector Σ_{i=s_iter}^{t_iter} x⁽ⁱ⁾.
 
@@ -44,7 +41,7 @@ def cpi_spark(
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
-    with shuffle_partitions(spark, num_partitions):
+    with shuffle_partitions(spark):
         x = scale_vector(q, c).localCheckpoint(eager=True)
         parts: list[DataFrame] = []
         empty = scale_vector(q.limit(0), 0.0)

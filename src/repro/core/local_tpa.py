@@ -73,11 +73,10 @@ class LocalTPA:
         return cpi(self.graph, q, c=self.c, eps=self.eps, s_iter=0, t_iter=self.S - 1)
 
     def query(self, seed: int, deadline=None) -> np.ndarray:
-        """r_TPA = r_family + α·r_family + r̃_stranger."""
+        """r_TPA = r_TPA-NA + r̃_stranger."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
-        fam = self.family(seed)
-        return fam * (1.0 + neighbor_scale(self.c, self.S, self.T)) + self.r_stranger
+        return self.query_na(seed) + self.r_stranger
 
     def query_na(self, seed: int, deadline=None) -> np.ndarray:
         """r_TPA-NA = r_family + α·r_family (stranger term omitted)."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.cpi import DEFAULT_PARTITIONS, cpi_spark
+from repro.core.cpi import cpi_spark
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS
 from repro.core.local_tpa import neighbor_scale
 from repro.graph.edges import (
@@ -45,7 +45,6 @@ class SparkTPA:
         S: int = 4,
         T: int = 10,
         eps: float = DEFAULT_EPS,
-        num_partitions: int = DEFAULT_PARTITIONS,
     ) -> None:
         neighbor_scale(c, S, T)  # validates S, T
         self.spark = spark
@@ -54,12 +53,11 @@ class SparkTPA:
         self.S = S
         self.T = T
         self.eps = eps
-        self.num_partitions = num_partitions
         self.norm_edges = normalize_edges(edges)
         self.r_stranger: DataFrame | None = None
 
     # -- Algorithm 2 -------------------------------------------------------
-    def preprocess(self, deadline=None) -> DataFrame:
+    def preprocess(self) -> DataFrame:
         """Stranger vector: iterations T..∞ of CPI with the PageRank seed."""
         q = uniform_vector_df(self.spark, self.n)
         self.r_stranger = cpi_spark(
@@ -69,7 +67,6 @@ class SparkTPA:
             c=self.c,
             eps=self.eps,
             s_iter=self.T,
-            num_partitions=self.num_partitions,
         )
         return self.r_stranger
 
@@ -85,18 +82,15 @@ class SparkTPA:
             eps=self.eps,
             s_iter=0,
             t_iter=self.S - 1,
-            num_partitions=self.num_partitions,
         )
 
-    def query(self, seed: int, deadline=None) -> DataFrame:
-        """r_TPA = (1+α)·r_family + r̃_stranger as a sparse vector DataFrame."""
+    def query(self, seed: int) -> DataFrame:
+        """r_TPA = r_TPA-NA + r̃_stranger as a sparse vector DataFrame."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
-        fam = self.family(seed)
-        scaled = scale_vector(fam, 1.0 + neighbor_scale(self.c, self.S, self.T))
-        return sum_vectors([scaled, self.r_stranger]).localCheckpoint(eager=True)
+        return sum_vectors([self.query_na(seed), self.r_stranger]).localCheckpoint(eager=True)
 
-    def query_na(self, seed: int, deadline=None) -> DataFrame:
+    def query_na(self, seed: int) -> DataFrame:
         """r_TPA-NA = (1+α)·r_family (stranger term omitted)."""
         fam = self.family(seed)
         return scale_vector(fam, 1.0 + neighbor_scale(self.c, self.S, self.T))

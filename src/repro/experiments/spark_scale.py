@@ -17,8 +17,8 @@ from pyspark.sql import SparkSession
 
 from repro.core.local_cpi import n_iterations_to_converge
 from repro.core.tpa import SparkTPA
-from repro.graph.edges import vector_to_numpy
-from repro.synth_data import dcsbm_edges
+from repro.graph.edges import edges_from_numpy, vector_to_numpy
+from repro.graph.generators import dcsbm
 
 __all__ = ["spark_scale_table", "DEFAULT_SIZES"]
 
@@ -35,7 +35,6 @@ def spark_scale_table(
     T: int = 10,
     eps: float = 1e-6,
     n_seeds: int = 3,
-    num_partitions: int = 8,
 ) -> pd.DataFrame:
     """Run SparkTPA preprocess + online over growing graphs.
 
@@ -46,11 +45,10 @@ def spark_scale_table(
     sizes = DEFAULT_SIZES if sizes is None else sizes
     iters = n_iterations_to_converge(c, eps)
     rows = []
-    for i, (n, m) in enumerate(sizes):
-        edges = dcsbm_edges(spark, n=n, m=m, seed=100 + i)
-        tpa = SparkTPA(
-            spark, edges, n, c=c, S=S, T=T, eps=eps, num_partitions=num_partitions
-        )
+    for n, m in sizes:
+        # Seeded by size, so a one-size call builds the same graph as the sweep.
+        _, src, dst, _ = dcsbm(n, m, seed=100 + n)
+        tpa = SparkTPA(spark, edges_from_numpy(spark, src, dst), n, c=c, S=S, T=T, eps=eps)
         t0 = time.perf_counter()
         tpa.preprocess()
         pre = time.perf_counter() - t0

@@ -32,18 +32,22 @@ __all__ = [
     "l1_norm",
     "vector_to_numpy",
     "shuffle_partitions",
+    "PARTITIONS",
 ]
+
+# The one partition count of the distributed path: Ã is persisted
+# hash-partitioned by ``src`` at this count, and CPI's shuffles run at it.
+PARTITIONS = 8
 
 
 @contextmanager
-def shuffle_partitions(spark: SparkSession, n: int):
-    """Temporarily set ``spark.sql.shuffle.partitions`` — iterative graph
-    jobs on small-to-medium vectors drown in task overhead at the session
-    default (64); the algorithms below pick a parallelism matched to their
-    data size and restore the session value afterwards."""
+def shuffle_partitions(spark: SparkSession):
+    """Temporarily set ``spark.sql.shuffle.partitions`` to ``PARTITIONS`` —
+    iterative graph jobs on small-to-medium vectors drown in task overhead at
+    the session default (64); the session value is restored afterwards."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
-    spark.conf.set(key, str(n))
+    spark.conf.set(key, str(PARTITIONS))
     try:
         yield
     finally:
@@ -65,12 +69,15 @@ def normalize_edges(edges: DataFrame) -> DataFrame:
     """Row-normalised edges ``(src, dst, w)`` with ``w = 1/out_deg(src)``.
 
     This is Ã in edge form; dangling nodes simply contribute no rows. The
-    result is persisted and materialised — it is reused every iteration.
+    result is hash-partitioned by ``src`` at ``PARTITIONS`` (edges co-located
+    with their source vertex, as in Pregel/GraphX), persisted and
+    materialised — it is reused every iteration.
     """
     deg = out_degrees(edges)
     norm = (
         edges.join(deg, edges["src"] == deg["id"], "inner")
         .select("src", "dst", (F.lit(1.0) / F.col("out_deg")).alias("w"))
+        .repartition(PARTITIONS, "src")
         .persist()
     )
     norm.count()  # materialise so iteration timing excludes normalisation

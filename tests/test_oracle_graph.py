@@ -46,6 +46,18 @@ class TestDegreesOracle:
             edges=edges_pdf,
         )
 
+    def test_oracle_detects_wrong_result(self, tiny, edges_pdf):
+        """The oracle is only a check if it can fail: off-by-one degrees
+        must not pass as equal."""
+        _, _, _, edges = tiny
+        wrong = out_degrees(edges).select("id", (F.col("out_deg") + 1).alias("out_deg"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong,
+                "SELECT src AS id, COUNT(*) AS out_deg FROM edges GROUP BY src",
+                edges=edges_pdf,
+            )
+
     def test_normalized_edges(self, tiny, edges_pdf):
         _, _, _, edges = tiny
         assert_equivalent(

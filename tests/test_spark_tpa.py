@@ -7,7 +7,7 @@ from repro.core.local_cpi import exact_rwr
 from repro.core.local_tpa import LocalTPA
 from repro.core.tpa import SparkTPA
 from repro.graph import generators as gen
-from repro.graph.edges import edges_from_numpy, vector_to_numpy
+from repro.graph.edges import PARTITIONS, edges_from_numpy, vector_to_numpy
 from repro.graph.linalg import LocalGraph
 from repro.metrics import l1_error, spearman
 
@@ -71,3 +71,8 @@ class TestSparkTPA:
     def test_invalid_window_rejected(self, spark, g):
         with pytest.raises(ValueError):
             SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, S=5, T=4)
+
+    def test_norm_edges_partitioned_at_partition_count(self, spark_tpa):
+        """Ã is persisted at the single partition count CPI shuffles at, not
+        at the session's shuffle-partition default."""
+        assert spark_tpa.norm_edges.rdd.getNumPartitions() == PARTITIONS
