@@ -14,6 +14,7 @@ from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS, MAX_ITER
 from repro.graph.edges import (
     l1_norm,
     propagate,
+    release,
     scale_vector,
     shuffle_partitions,
     sum_vectors,
@@ -37,24 +38,29 @@ def cpi_spark(
 
     ``q`` is the seed vector DataFrame (id, score) with q-values; internally
     x⁽⁰⁾ = c·q, exactly as Algorithm 1. The returned DataFrame is
-    checkpointed and safe to reuse after this function returns.
+    checkpointed and safe to reuse after this function returns; the interim
+    vectors' checkpoints are released before it does.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
     with shuffle_partitions(spark):
         x = scale_vector(q, c).localCheckpoint(eager=True)
-        parts: list[DataFrame] = []
-        empty = scale_vector(q.limit(0), 0.0)
-        for i in range(max_iter):
-            in_window = i >= s_iter and (t_iter is None or i <= t_iter)
-            if in_window:
-                parts.append(x)
-            # ‖x⁽ⁱ⁾‖₁ — the convergence condition of Algorithm 1 (lines 8-10).
-            if l1_norm(x) < eps:
-                break
-            if t_iter is not None and i >= t_iter:
-                break
-            x = propagate(norm_edges, x, c).localCheckpoint(eager=True)
-        if not parts:
-            return empty.localCheckpoint(eager=True)
-        return sum_vectors(parts).localCheckpoint(eager=True)
+        xs = [x]  # every interim vector, released once the result is materialised
+        try:
+            parts: list[DataFrame] = []
+            empty = scale_vector(q.limit(0), 0.0)
+            for i in range(max_iter):
+                in_window = i >= s_iter and (t_iter is None or i <= t_iter)
+                if in_window:
+                    parts.append(x)
+                # ‖x⁽ⁱ⁾‖₁ — the convergence condition of Algorithm 1 (lines 8-10).
+                if l1_norm(x) < eps:
+                    break
+                if t_iter is not None and i >= t_iter:
+                    break
+                x = propagate(norm_edges, x, c).localCheckpoint(eager=True)
+                xs.append(x)
+            return (sum_vectors(parts) if parts else empty).localCheckpoint(eager=True)
+        finally:
+            for v in xs:
+                release(v)

@@ -21,6 +21,8 @@ __all__ = ["LocalTPA", "neighbor_scale"]
 
 def neighbor_scale(c: float, S: int, T: int) -> float:
     """α = ‖r_neighbor‖₁ / ‖r_family‖₁ = ((1-c)^S − (1-c)^T)/(1 − (1-c)^S)."""
+    if not 0 < c < 1:
+        raise ValueError("restart probability c must be in (0, 1)")
     if S < 1:
         raise ValueError("S must be >= 1 (the family part needs x^(0))")
     if T < S:
@@ -48,9 +50,7 @@ class LocalTPA:
         T: int = 10,
         eps: float = DEFAULT_EPS,
     ) -> None:
-        if not 0 < c < 1:
-            raise ValueError("restart probability c must be in (0, 1)")
-        neighbor_scale(c, S, T)  # validates S, T
+        neighbor_scale(c, S, T)  # validates c, S, T
         self.graph = graph
         self.c = c
         self.S = S
@@ -69,6 +69,8 @@ class LocalTPA:
     # -- Algorithm 3 -------------------------------------------------------
     def family(self, seed: int) -> np.ndarray:
         """r_family: iterations 0..S-1 of CPI from the seed."""
+        if not 0 <= seed < self.graph.n:
+            raise ValueError(f"seed {seed} outside the node ids [0, {self.graph.n})")
         q = seed_vector(self.graph.n, seed)
         return cpi(self.graph, q, c=self.c, eps=self.eps, s_iter=0, t_iter=self.S - 1)
 

@@ -16,6 +16,7 @@ from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS
 from repro.core.local_tpa import neighbor_scale
 from repro.graph.edges import (
     normalize_edges,
+    release,
     scale_vector,
     seed_vector_df,
     sum_vectors,
@@ -30,7 +31,9 @@ class SparkTPA:
     """Two Phase Approximation on Spark DataFrames.
 
     ``edges`` is the raw edge DataFrame; it is row-normalised (and persisted)
-    at construction. ``n`` is the node-id domain size (ids 0..n-1).
+    at construction. ``n`` is the node-id domain size (ids 0..n-1). The
+    vectors that ``preprocess``, ``query`` and ``query_na`` return stay
+    checkpointed until the caller passes them to ``release``.
     """
 
     name = "TPA-Spark"
@@ -46,7 +49,7 @@ class SparkTPA:
         T: int = 10,
         eps: float = DEFAULT_EPS,
     ) -> None:
-        neighbor_scale(c, S, T)  # validates S, T
+        neighbor_scale(c, S, T)  # validates c, S, T
         self.spark = spark
         self.n = n
         self.c = c
@@ -73,6 +76,8 @@ class SparkTPA:
     # -- Algorithm 3 -------------------------------------------------------
     def family(self, seed: int) -> DataFrame:
         """r_family: S supersteps of CPI from the seed (iterations 0..S-1)."""
+        if not 0 <= seed < self.n:
+            raise ValueError(f"seed {seed} outside the node ids [0, {self.n})")
         q = seed_vector_df(self.spark, seed)
         return cpi_spark(
             self.spark,
@@ -88,7 +93,11 @@ class SparkTPA:
         """r_TPA = r_TPA-NA + r̃_stranger as a sparse vector DataFrame."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
-        return sum_vectors([self.query_na(seed), self.r_stranger]).localCheckpoint(eager=True)
+        na = self.query_na(seed)
+        try:
+            return sum_vectors([na, self.r_stranger]).localCheckpoint(eager=True)
+        finally:
+            release(na)  # the family vector, summed into the result
 
     def query_na(self, seed: int) -> DataFrame:
         """r_TPA-NA = (1+α)·r_family (stranger term omitted)."""
@@ -98,7 +107,11 @@ class SparkTPA:
     # -- conveniences --------------------------------------------------------
     def query_np(self, seed: int) -> np.ndarray:
         """Dense numpy result, for metric computation against the oracle."""
-        return vector_to_numpy(self.query(seed), self.n)
+        out = self.query(seed)
+        try:
+            return vector_to_numpy(out, self.n)
+        finally:
+            release(out)
 
     @property
     def preprocessed_bytes(self) -> int:

@@ -31,6 +31,7 @@ __all__ = [
     "scale_vector",
     "l1_norm",
     "vector_to_numpy",
+    "release",
     "shuffle_partitions",
     "PARTITIONS",
 ]
@@ -93,19 +94,16 @@ def propagate(norm_edges: DataFrame, x: DataFrame, c: float) -> DataFrame:
     )
 
 
-def seed_vector_df(spark: SparkSession, seeds, scale: float = 1.0) -> DataFrame:
-    """Sparse seed vector: ``scale / |seeds|`` at each seed node."""
+def seed_vector_df(spark: SparkSession, seeds) -> DataFrame:
+    """Sparse seed vector: ``1 / |seeds|`` at each seed node."""
     seeds = [int(s) for s in np.atleast_1d(seeds)]
-    val = float(scale) / len(seeds)
-    pdf = pd.DataFrame({"id": np.asarray(seeds, np.int64), "score": val})
+    pdf = pd.DataFrame({"id": np.asarray(seeds, np.int64), "score": 1.0 / len(seeds)})
     return spark.createDataFrame(pdf)
 
 
-def uniform_vector_df(spark: SparkSession, n: int, scale: float = 1.0) -> DataFrame:
-    """Dense uniform vector ``scale/n`` at every node 0..n-1 (PageRank seed)."""
-    return spark.range(n).select(
-        F.col("id").cast("long"), F.lit(float(scale) / n).alias("score")
-    )
+def uniform_vector_df(spark: SparkSession, n: int) -> DataFrame:
+    """Dense uniform vector ``1/n`` at every node 0..n-1 (PageRank seed)."""
+    return spark.range(n).select(F.col("id").cast("long"), F.lit(1.0 / n).alias("score"))
 
 
 def sum_vectors(vectors: list[DataFrame]) -> DataFrame:
@@ -131,6 +129,24 @@ def l1_norm(x: DataFrame) -> float:
     """‖x‖₁ (one small aggregation job)."""
     row = x.agg(F.sum(F.abs(F.col("score"))).alias("n")).collect()[0]
     return float(row["n"] or 0.0)
+
+
+def release(x: DataFrame) -> None:
+    """Free the checkpointed data that ``x`` reads from.
+
+    ``DataFrame.unpersist`` does not drop a ``localCheckpoint``: its blocks
+    belong to the RDD under a ``LogicalRDD`` leaf of the plan, and that RDD
+    is unpersisted here, without a Spark job (through the context, because
+    ``RDD.unpersist`` logs a warning for every locally checkpointed RDD).
+    The call blocks until the blocks are gone. ``x``, and every frame built
+    on the same leaves, is unusable afterwards.
+    """
+    sc = x.sparkSession.sparkContext._jsc.sc()
+    leaves = x._jdf.queryExecution().analyzed().collectLeaves()
+    for i in range(leaves.size()):
+        leaf = leaves.apply(i)
+        if leaf.getClass().getSimpleName() == "LogicalRDD":
+            sc.unpersistRDD(leaf.rdd().id(), True)
 
 
 def vector_to_numpy(x: DataFrame, n: int) -> np.ndarray:

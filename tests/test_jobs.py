@@ -68,6 +68,7 @@ class TestLocalJobs:
         out = run_job(monkeypatch, capsys, "fig8_effect_t.py", *TINY[:4],
                       "--datasets", "pokec-lite")
         assert "effect of T" in out
+        assert any(line.split()[2:3] == ["5"] for line in out.splitlines())  # Fig. 8's minimum
 
 
 class TestSparkScaleFunction:

@@ -88,6 +88,12 @@ class TestAlgorithm3:
         with pytest.raises(RuntimeError):
             LocalTPA(g).query(0)
 
+    @pytest.mark.parametrize("seed", [-1, 400])
+    def test_seed_outside_node_ids_rejected(self, g, tpa, seed):
+        """A negative seed used to index from the end (node n-1's vector)."""
+        with pytest.raises(ValueError, match="outside the node ids"):
+            tpa.query(seed)
+
     def test_family_norm(self, g, tpa):
         fam = tpa.family(17)
         assert fam.sum() == pytest.approx(1 - (1 - C) ** 4, rel=1e-12)

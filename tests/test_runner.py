@@ -116,6 +116,17 @@ class TestRunDataset:
         assert rows[0].status == "OOT"
         assert rows[0].pre_time is None
 
+    def test_expected_online_oot_skipped(self, ds):
+        """HubPPR preprocesses on every graph, but its online phase is only
+        run on the smallest one, as in the paper's Fig. 1(b)."""
+        g, spec = ds
+        rows = run_dataset(
+            "google-lite", g, spec, methods=["HubPPR"], n_seeds=1, time_cap=30.0
+        )
+        assert rows[0].status == "OOT-online"
+        assert rows[0].pre_time is not None and rows[0].bytes > 0
+        assert rows[0].online_time is None and rows[0].l1 is None
+
     def test_oot_matrix_matches_paper(self):
         assert "pokec-lite" in EXPECTED_OOT["NB-LIN"]
         assert "google-lite" in EXPECTED_OOT["BEAR-APPROX"]

@@ -90,6 +90,15 @@ class TestSparkCpi:
         b = vector_to_numpy(out, g.n)
         assert np.array_equal(a, b)
 
+    def test_only_result_stays_persisted(self, spark, setup):
+        """The checkpointed interim vectors are released once summed."""
+        _, norm = setup
+        rdds = spark.sparkContext._jsc.getPersistentRDDs
+        before = set(rdds().keySet())
+        out = cpi_spark(spark, norm, uniform_vector_df(spark, N), s_iter=3, eps=1e-2)
+        assert len(set(rdds().keySet()) - before) == 1
+        assert out.count() > 0
+
     def test_shuffle_partitions_restored(self, spark, setup):
         _, norm = setup
         before = spark.conf.get("spark.sql.shuffle.partitions")

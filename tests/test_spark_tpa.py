@@ -76,3 +76,27 @@ class TestSparkTPA:
         """Ã is persisted at the single partition count CPI shuffles at, not
         at the session's shuffle-partition default."""
         assert spark_tpa.norm_edges.rdd.getNumPartitions() == PARTITIONS
+
+    @pytest.mark.parametrize("seed", [-1, N])
+    def test_seed_outside_node_ids_rejected(self, spark_tpa, seed):
+        with pytest.raises(ValueError, match="outside the node ids"):
+            spark_tpa.family(seed)
+
+    def test_invalid_c_rejected(self, spark, g):
+        with pytest.raises(ValueError, match="restart probability"):
+            SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, c=1.5, S=S, T=T)
+
+    def test_cached_rdds_bounded_across_queries(self, spark, g, spark_tpa):
+        """Interim vectors are released: query N leaves as many persistent
+        RDDs behind as query 1 (counting only RDDs persisted by the queries,
+        since Spark's cleaner may drop older unreferenced ones meanwhile)."""
+        rdds = spark.sparkContext._jsc.getPersistentRDDs
+        before = set(rdds().keySet())
+        counts = []
+        for s in (5, 60, 110, 5):
+            spark_tpa.query_np(s)
+            counts.append(len(set(rdds().keySet()) - before))
+        assert counts == [counts[0]] * len(counts)
+        # the kept vectors are still usable
+        assert spark_tpa.r_stranger.count() > 0
+        assert spark_tpa.norm_edges.count() == len(g.src)

@@ -103,6 +103,17 @@ class TestAblationTables:
         # Fig. 7: L1 error strictly decreases as S grows
         assert sub["L1"].is_monotonic_decreasing
 
+    def test_effect_of_S_preprocesses_once(self, monkeypatch):
+        """The stranger vector does not depend on S: one preprocess per
+        dataset serves the whole sweep."""
+        calls = []
+        real = tables.LocalTPA.preprocess
+        monkeypatch.setattr(
+            tables.LocalTPA, "preprocess", lambda self: calls.append(1) or real(self)
+        )
+        tables.effect_of_S_table(["pokec-lite"], S_values=(1, 3, 5), sf=SF, n_seeds=1)
+        assert len(calls) == 1
+
     def test_effect_of_T_finite_beats_infinite(self):
         df = tables.effect_of_T_table(
             ["pokec-lite"], T_values=(4, 10, 30, None), S=4, sf=SF, n_seeds=2
