@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.tpa import SparkTPA
 from repro.experiments.spark_scale import DEFAULT_SIZES, spark_scale_table
-from repro.graph.edges import edges_from_numpy
+from repro.graph.edges import edges_from_numpy, release
 from repro.graph.generators import dcsbm
 
 
@@ -19,7 +19,8 @@ def warm_spark(spark):
     _, src, dst, _ = dcsbm(500, 4_000, seed=99)
     tpa = SparkTPA(spark, edges_from_numpy(spark, src, dst), 500, c=0.15, S=4, T=6, eps=1e-2)
     tpa.preprocess()
-    tpa.query(0)
+    release(tpa.query(0))
+    release(tpa.r_stranger)
     tpa.norm_edges.unpersist()
     return spark
 

@@ -1,8 +1,10 @@
 """Distributed CPI (Algorithm 1) as iterative DataFrame message passing.
 
-Each iteration is one superstep (shuffle join + shuffle aggregation); the
-interim vector is ``localCheckpoint``-ed eagerly so lineage stays O(1) across
-the potentially ~150 iterations a 1e-9 tolerance needs. The window
+Each iteration is one superstep: a co-partitioned join of the vector with Ã
+and one shuffle aggregation by destination. The interim vector is
+``localCheckpoint``-ed eagerly so lineage stays O(1) across the potentially
+~150 iterations a 1e-9 tolerance needs, and ‖x⁽ⁱ⁾‖₁ is observed inside that
+checkpoint job, so a superstep is one Spark job. The window
 ``[s_iter, t_iter]`` selects which interim vectors are accumulated — TPA's
 family part is ``[0, S-1]``, the stranger preprocessing is ``[T, ∞)``.
 """
@@ -11,7 +13,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS, MAX_ITER
-from repro.graph.edges import (
+from repro.graph.edges import (  # noqa: F401  (l1_norm: looked up here by perfbench's tracer)
+    checkpoint,
     l1_norm,
     propagate,
     release,
@@ -37,14 +40,15 @@ def cpi_spark(
     """CPI-IMPL on Spark: returns the (sparse) vector Σ_{i=s_iter}^{t_iter} x⁽ⁱ⁾.
 
     ``q`` is the seed vector DataFrame (id, score) with q-values; internally
-    x⁽⁰⁾ = c·q, exactly as Algorithm 1. The returned DataFrame is
-    checkpointed and safe to reuse after this function returns; the interim
-    vectors' checkpoints are released before it does.
+    x⁽⁰⁾ = c·q, exactly as Algorithm 1. A call with k supersteps runs k + 2
+    Spark jobs: x⁽⁰⁾, one per superstep, and the window sum. The returned
+    DataFrame is checkpointed and safe to reuse after this function returns;
+    the interim vectors' checkpoints are released before it does.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
     with shuffle_partitions(spark):
-        x = scale_vector(q, c).localCheckpoint(eager=True)
+        x, norm = checkpoint(scale_vector(q, c))
         xs = [x]  # every interim vector, released once the result is materialised
         try:
             parts: list[DataFrame] = []
@@ -54,11 +58,11 @@ def cpi_spark(
                 if in_window:
                     parts.append(x)
                 # ‖x⁽ⁱ⁾‖₁ — the convergence condition of Algorithm 1 (lines 8-10).
-                if l1_norm(x) < eps:
+                if norm < eps:
                     break
                 if t_iter is not None and i >= t_iter:
                     break
-                x = propagate(norm_edges, x, c).localCheckpoint(eager=True)
+                x, norm = checkpoint(propagate(norm_edges, x, c))
                 xs.append(x)
             return (sum_vectors(parts) if parts else empty).localCheckpoint(eager=True)
         finally:

@@ -31,6 +31,7 @@ __all__ = [
     "METHOD_ORDER",
     "EXPECTED_OOT",
     "EXPECTED_ONLINE_OOT",
+    "ONLINE_ONLY",
     "MethodRow",
     "build_method",
     "pick_seeds",
@@ -42,6 +43,10 @@ C = 0.15
 EPS = 1e-9
 
 METHOD_ORDER = ["TPA", "RPPR", "BRPPR", "NB-LIN", "BEAR-APPROX", "HubPPR"]
+
+# Methods without a preprocessing phase: their pre_time stays None, so
+# Fig. 1(a) has no bar for them (TPA-NA, derived from TPA, has none either).
+ONLINE_ONLY = {"RPPR", "BRPPR"}
 
 # Datasets whose preprocessing timed out in the paper (Figs. 1 and 3): NB-LIN
 # from Pokec on, BEAR-APPROX from Google on. The harness still enforces a real
@@ -151,13 +156,14 @@ def run_dataset(
             continue
         method = build_method(name, graph, spec)
         # preprocessing phase
-        t0 = time.perf_counter()
-        try:
-            method.preprocess(Deadline(time_cap))
-        except OutOfTime:
-            row.status = "OOT"
-            continue
-        row.pre_time = time.perf_counter() - t0
+        if name not in ONLINE_ONLY:
+            t0 = time.perf_counter()
+            try:
+                method.preprocess(Deadline(time_cap))
+            except OutOfTime:
+                row.status = "OOT"
+                continue
+            row.pre_time = time.perf_counter() - t0
         row.bytes = method.preprocessed_bytes
         if skip_expected_oot and dataset in EXPECTED_ONLINE_OOT.get(name, set()):
             row.status = "OOT-online"
@@ -190,7 +196,6 @@ def run_dataset(
             times.append(time.perf_counter() - t0)
             l1s.append(l1_error(r, exact[int(s)]))
             sps.append(spearman(r, exact[int(s)]))
-        row.pre_time = 0.0
         row.online_time = float(np.mean(times))
         row.l1 = float(np.mean(l1s))
         row.spearman = float(np.mean(sps))

@@ -17,7 +17,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.local_cpi import n_iterations_to_converge
 from repro.core.tpa import SparkTPA
-from repro.graph.edges import edges_from_numpy
+from repro.graph.edges import edges_from_numpy, release
 from repro.graph.generators import dcsbm
 
 __all__ = ["spark_scale_table", "DEFAULT_SIZES"]
@@ -69,6 +69,7 @@ def spark_scale_table(
                 "stranger_bytes": tpa.preprocessed_bytes,
             }
         )
+        release(tpa.r_stranger)
         tpa.norm_edges.unpersist()
     df = pd.DataFrame(rows)
     # O(m)/iteration check: normalised per-edge iteration cost

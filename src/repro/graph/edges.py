@@ -4,8 +4,11 @@ A graph is an edge DataFrame ``(src: long, dst: long)``; a score vector is a
 *sparse* DataFrame ``(id: long, score: double)`` holding only non-zero
 entries. One CPI step is one Pregel/GraphX-style superstep expressed in
 Catalyst: ``edges ⋈ scores on src → groupBy(dst).sum((1-c)·w·score)`` — a
-shuffle join plus a shuffle aggregation (broadcast joins are disabled by the
-session fixture, so the shuffle path is what runs).
+co-partitioned join plus one aggregation shuffle. Ã is hash-partitioned by
+``src`` and a checkpointed vector by ``id``, both at ``PARTITIONS``; with
+adaptive query execution off (``shuffle_partitions``) the join needs no
+exchange. Broadcast joins are disabled by the session fixture, so the
+shuffle path is what runs.
 
 Every operation here is mirrored by a DuckDB SQL statement in the oracle
 tests (tests/test_oracle_graph.py): a wrong join or aggregation is caught by
@@ -17,7 +20,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "sum_vectors",
     "scale_vector",
     "l1_norm",
+    "checkpoint",
     "vector_to_numpy",
     "release",
     "shuffle_partitions",
@@ -43,16 +47,27 @@ PARTITIONS = 8
 
 @contextmanager
 def shuffle_partitions(spark: SparkSession):
-    """Temporarily set ``spark.sql.shuffle.partitions`` to ``PARTITIONS`` —
-    iterative graph jobs on small-to-medium vectors drown in task overhead at
-    the session default (64); the session value is restored afterwards."""
-    key = "spark.sql.shuffle.partitions"
-    old = spark.conf.get(key)
-    spark.conf.set(key, str(PARTITIONS))
+    """The scope of CPI's session settings; the session's values are restored
+    on exit, also when the body raises.
+
+    Shuffles run at ``PARTITIONS``: iterative graph jobs on small-to-medium
+    vectors drown in task overhead at the session default (64). Adaptive
+    query execution is off: under it a checkpointed vector loses its
+    ``hashpartitioning(id, PARTITIONS)`` and is reshuffled for the join with
+    Ã every superstep, and a read of an observed metric costs extra jobs.
+    """
+    settings = {
+        "spark.sql.shuffle.partitions": str(PARTITIONS),
+        "spark.sql.adaptive.enabled": "false",
+    }
+    old = {key: spark.conf.get(key) for key in settings}
     try:
+        for key, value in settings.items():
+            spark.conf.set(key, value)
         yield
     finally:
-        spark.conf.set(key, old)
+        for key, value in old.items():
+            spark.conf.set(key, value)
 
 
 def edges_from_numpy(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
@@ -125,10 +140,24 @@ def scale_vector(x: DataFrame, factor: float) -> DataFrame:
     return x.select("id", (F.col("score") * F.lit(float(factor))).alias("score"))
 
 
+def _l1():
+    return F.sum(F.abs(F.col("score"))).alias("l1")
+
+
 def l1_norm(x: DataFrame) -> float:
-    """‖x‖₁ (one small aggregation job)."""
-    row = x.agg(F.sum(F.abs(F.col("score"))).alias("n")).collect()[0]
-    return float(row["n"] or 0.0)
+    """‖x‖₁ as a job of its own; CPI reads it from ``checkpoint`` instead."""
+    return float(x.agg(_l1()).collect()[0]["l1"] or 0.0)
+
+
+def checkpoint(x: DataFrame) -> tuple[DataFrame, float]:
+    """``x`` eagerly ``localCheckpoint``-ed, and ‖x‖₁ observed in that same job.
+
+    An empty ``x`` observes a null sum, read as 0.0. Each call needs a fresh
+    ``Observation``: one can be attached to a single query only.
+    """
+    obs = Observation()
+    x = x.observe(obs, _l1()).localCheckpoint(eager=True)
+    return x, float(obs.get["l1"] or 0.0)
 
 
 def release(x: DataFrame) -> None:

@@ -1,5 +1,6 @@
 """Shared fixtures/builders for the test suite: tiny deterministic graphs
-with known closed-form RWR answers, plus a dense reference solver."""
+with known closed-form RWR answers, a dense reference solver, and a Spark
+job counter."""
 from __future__ import annotations
 
 import numpy as np
@@ -36,3 +37,19 @@ def dense_exact_pagerank(g: LocalGraph, c: float = C) -> np.ndarray:
     A = g.dense_transition_T()
     q = np.full(g.n, 1.0 / g.n)
     return np.linalg.solve(np.eye(g.n) - (1 - c) * A, c * q)
+
+
+class SparkJobs:
+    """Counts the Spark jobs started inside a ``with SparkJobs(spark) as c:``
+    block into ``c.jobs``: the delta of the DAG scheduler's job-id counter,
+    which every job increments once."""
+
+    def __init__(self, spark) -> None:
+        self._scheduler = spark.sparkContext._jsc.sc().dagScheduler()
+
+    def __enter__(self) -> "SparkJobs":
+        self._start = self._scheduler.nextJobId()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.jobs = self._scheduler.nextJobId() - self._start

@@ -83,3 +83,12 @@ class TestSparkScaleFunction:
         assert (df["online_time_s"] > 0).all()
         assert (df["stranger_bytes"] > 0).all()
         assert df["edges"].tolist() == [600, 1200]
+
+    def test_one_size_frees_its_vectors(self, spark):
+        """Ã and the stranger vector of a size are freed before the next one."""
+        from repro.experiments.spark_scale import spark_scale_table
+
+        rdds = spark.sparkContext._jsc.getPersistentRDDs
+        before = rdds().size()
+        spark_scale_table(spark, sizes=[(100, 600)], eps=1e-2, n_seeds=1, S=2, T=4)
+        assert rdds().size() == before

@@ -104,6 +104,12 @@ class TestRunDataset:
         # allow near-exact BRPPR-style methods a small edge at tiny scale
         assert by["TPA"].spearman >= max(competitors) - 0.1
 
+    def test_no_preprocessing_phase_untimed(self, rows):
+        by = {r.method: r for r in rows}
+        for m in ("RPPR", "BRPPR", "TPA-NA"):
+            assert by[m].pre_time is None and by[m].status == "ok"
+        assert by["TPA"].pre_time > 0
+
     def test_tpa_na_worse_ranking_than_tpa(self, rows):
         by = {r.method: r for r in rows}
         assert by["TPA-NA"].spearman < by["TPA"].spearman

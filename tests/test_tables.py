@@ -38,9 +38,9 @@ class TestMainTables:
         assert "TPA" in df.columns
 
     def test_rppr_has_no_preprocessing(self):
+        """No bar where the paper's Fig. 1(a) has none."""
         df = tables.preprocessing_table(**KW)
-        # the no-op preprocess is timed, so allow sub-millisecond noise
-        assert (df["RPPR"].fillna(0) < 1e-3).all()
+        assert df[["RPPR", "BRPPR", "TPA-NA"]].isna().all().all()
 
     def test_online_table_positive(self):
         df = tables.online_table(**KW)
