@@ -7,25 +7,22 @@ from collections import defaultdict
 
 import pandas as pd
 
+from repro.experiments.tables import render
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     bs = getattr(config, "_benchmarksession", None)
     if bs is None or not bs.benchmarks:
         return
     tr = terminalreporter
-
-    def write(title: str, df: pd.DataFrame) -> None:
-        tr.write_line("")
-        tr.write_sep("-", title)
-        tr.write_line(df.to_string(float_format=lambda v: f"{v:.6g}"))
-
     tr.write_sep("=", "reproduction tables (benchmark extra_info)")
     rows = defaultdict(list)
-    with pd.option_context("display.width", 220, "display.max_columns", 50):
-        for bm in bs.benchmarks:
-            if "table" in bm.extra_info:
-                write(bm.name, pd.DataFrame.from_dict(bm.extra_info["table"], orient="tight"))
-            else:
-                rows[bm.fullname.split("::")[0]].append({**bm.extra_info, "bench_mean_s": bm.stats.mean})
-        for fname, file_rows in rows.items():
-            write(fname, pd.DataFrame(file_rows))
+    for bm in bs.benchmarks:
+        info = bm.extra_info
+        if "table" in info:
+            df = pd.DataFrame.from_dict(info["table"], orient="tight")
+            tr.write_line(render(df, f"{bm.name}: {info['title']}"))
+        else:
+            rows[bm.fullname.split("::")[0]].append({**info, "bench_mean_s": bm.stats.mean})
+    for fname, file_rows in rows.items():
+        tr.write_line(render(pd.DataFrame(file_rows), fname))

@@ -5,8 +5,8 @@ online time across growing DCSBM graphs, plus the O(m)-per-iteration check.
 """
 from pyspark.sql import SparkSession
 
-from repro.experiments.cli import print_df
 from repro.experiments.spark_scale import spark_scale_table
+from repro.experiments.tables import render
 
 if __name__ == "__main__":
     spark = (
@@ -16,6 +16,6 @@ if __name__ == "__main__":
         .getOrCreate()
     )
     try:
-        print_df(spark_scale_table(spark), "TS — distributed TPA scalability")
+        print(render(spark_scale_table(spark), "TS — distributed TPA scalability"))
     finally:
         spark.stop()

@@ -10,7 +10,7 @@ family part is ``[0, S-1]``, the stranger preprocessing is ``[T, ∞)``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS, MAX_ITER
 from repro.graph.edges import (  # noqa: F401  (l1_norm: looked up here by perfbench's tracer)
@@ -27,7 +27,6 @@ __all__ = ["cpi_spark"]
 
 
 def cpi_spark(
-    spark: SparkSession,
     norm_edges: DataFrame,
     q: DataFrame,
     *,
@@ -35,25 +34,25 @@ def cpi_spark(
     eps: float = DEFAULT_EPS,
     s_iter: int = 0,
     t_iter: int | None = None,
-    max_iter: int = MAX_ITER,
 ) -> DataFrame:
     """CPI-IMPL on Spark: returns the (sparse) vector Σ_{i=s_iter}^{t_iter} x⁽ⁱ⁾.
 
     ``q`` is the seed vector DataFrame (id, score) with q-values; internally
-    x⁽⁰⁾ = c·q, exactly as Algorithm 1. A call with k supersteps runs k + 2
+    x⁽⁰⁾ = c·q, exactly as Algorithm 1, in ``norm_edges``' session, for at
+    most ``MAX_ITER`` supersteps. A call with k supersteps runs k + 2
     Spark jobs: x⁽⁰⁾, one per superstep, and the window sum. The returned
     DataFrame is checkpointed and safe to reuse after this function returns;
     the interim vectors' checkpoints are released before it does.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
-    with shuffle_partitions(spark):
+    with shuffle_partitions(norm_edges.sparkSession):
         x, norm = checkpoint(scale_vector(q, c))
         xs = [x]  # every interim vector, released once the result is materialised
         try:
             parts: list[DataFrame] = []
             empty = scale_vector(q.limit(0), 0.0)
-            for i in range(max_iter):
+            for i in range(MAX_ITER):
                 in_window = i >= s_iter and (t_iter is None or i <= t_iter)
                 if in_window:
                     parts.append(x)

@@ -18,7 +18,6 @@ __all__ = [
     "pagerank",
     "seed_vector",
     "uniform_vector",
-    "interim_vectors",
     "n_iterations_to_converge",
 ]
 
@@ -48,13 +47,13 @@ def cpi(
     eps: float = DEFAULT_EPS,
     s_iter: int = 0,
     t_iter: int | None = None,
-    max_iter: int = MAX_ITER,
 ) -> np.ndarray:
     """CPI-IMPL (Algorithm 1): return ``Σ_{i=s_iter}^{t_iter} x⁽ⁱ⁾``.
 
     Iterations stop early once ``‖x⁽ⁱ⁾‖₁ < eps`` (the convergence condition),
     or at ``t_iter`` when given (inclusive, matching the paper's window
-    notation: family = iterations 0..S-1 is ``t_iter=S-1``).
+    notation: family = iterations 0..S-1 is ``t_iter=S-1``), and in any case
+    after ``MAX_ITER`` iterations.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
@@ -62,7 +61,7 @@ def cpi(
         return np.zeros(graph.n)
     x = c * np.asarray(q, dtype=np.float64)
     r = np.zeros(graph.n)
-    for i in range(max_iter):
+    for i in range(MAX_ITER):
         if i >= s_iter:
             r += x
         norm = np.abs(x).sum()
@@ -74,28 +73,15 @@ def cpi(
     return r
 
 
-def interim_vectors(
-    graph: LocalGraph, q: np.ndarray, *, c: float = DEFAULT_C, upto: int = 10
-) -> list[np.ndarray]:
-    """The interim score vectors ``x⁽⁰⁾..x⁽ᵘᵖᵗᵒ⁾`` — test/analysis helper."""
-    x = c * np.asarray(q, dtype=np.float64)
-    out = [x.copy()]
-    for _ in range(upto):
-        x = (1.0 - c) * graph.push(x)
-        out.append(x.copy())
-    return out
-
-
 def exact_rwr(
     graph: LocalGraph,
     seed: int,
     *,
     c: float = DEFAULT_C,
     eps: float = 1e-12,
-    max_iter: int = MAX_ITER,
 ) -> np.ndarray:
     """Exact RWR vector for one seed (converged CPI; Theorem 1 ⇒ exact)."""
-    return cpi(graph, seed_vector(graph.n, seed), c=c, eps=eps, max_iter=max_iter)
+    return cpi(graph, seed_vector(graph.n, seed), c=c, eps=eps)
 
 
 def pagerank(
@@ -105,7 +91,6 @@ def pagerank(
     eps: float = DEFAULT_EPS,
     s_iter: int = 0,
     t_iter: int | None = None,
-    max_iter: int = MAX_ITER,
 ) -> np.ndarray:
     """PageRank via CPI with the uniform seed vector; ``s_iter``/``t_iter``
     select a window of iterations (Algorithm 2 uses ``s_iter=T``)."""
@@ -116,7 +101,6 @@ def pagerank(
         eps=eps,
         s_iter=s_iter,
         t_iter=t_iter,
-        max_iter=max_iter,
     )
 
 

@@ -64,7 +64,6 @@ class SparkTPA:
         """Stranger vector: iterations T..∞ of CPI with the PageRank seed."""
         q = uniform_vector_df(self.spark, self.n)
         self.r_stranger = cpi_spark(
-            self.spark,
             self.norm_edges,
             q,
             c=self.c,
@@ -80,7 +79,6 @@ class SparkTPA:
             raise ValueError(f"seed {seed} outside the node ids [0, {self.n})")
         q = seed_vector_df(self.spark, seed)
         return cpi_spark(
-            self.spark,
             self.norm_edges,
             q,
             c=self.c,

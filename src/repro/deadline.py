@@ -35,7 +35,3 @@ class Deadline:
         if self.expired():
             raise OutOfTime(f"exceeded {self.seconds:.1f}s budget")
 
-    def remaining(self) -> float:
-        if self.seconds is None:
-            return float("inf")
-        return max(0.0, self.seconds - self.elapsed())

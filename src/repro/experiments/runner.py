@@ -12,7 +12,8 @@ paper used BePI, another exact solver.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "build_method",
     "pick_seeds",
     "exact_vectors",
+    "score_queries",
     "run_dataset",
 ]
 
@@ -89,7 +91,6 @@ class MethodRow:
     spearman: float | None = None
     bytes: int | None = None
     status: str = "ok"
-    per_seed_online: list[float] = field(default_factory=list)
 
 
 def build_method(name: str, graph: LocalGraph, spec: DatasetSpec):
@@ -127,6 +128,21 @@ def pick_seeds(graph: LocalGraph, n_seeds: int, *, seed: int = 7) -> np.ndarray:
 def exact_vectors(graph: LocalGraph, seeds: np.ndarray) -> dict[int, np.ndarray]:
     """Ground truth per seed (converged CPI = exact RWR, Theorem 1)."""
     return {int(s): exact_rwr(graph, int(s), c=C) for s in seeds}
+
+
+def score_queries(
+    query: Callable[[int], np.ndarray], seeds: np.ndarray, exact: dict[int, np.ndarray]
+) -> tuple[float, float, float]:
+    """Time ``query(seed)`` on each seed and score its answer against the
+    exact vector: the means of online seconds, L1 error and Spearman ρ."""
+    times, l1s, sps = [], [], []
+    for s in seeds:
+        t0 = time.perf_counter()
+        r = query(int(s))
+        times.append(time.perf_counter() - t0)
+        l1s.append(l1_error(r, exact[int(s)]))
+        sps.append(spearman(r, exact[int(s)]))
+    return float(np.mean(times)), float(np.mean(l1s)), float(np.mean(sps))
 
 
 def run_dataset(
@@ -169,36 +185,18 @@ def run_dataset(
             row.status = "OOT-online"
             continue
         # online phase, averaged over seeds
-        l1s, sps = [], []
         try:
-            for s in seeds:
-                t0 = time.perf_counter()
-                r = method.query(int(s), Deadline(time_cap))
-                row.per_seed_online.append(time.perf_counter() - t0)
-                l1s.append(l1_error(r, exact[int(s)]))
-                sps.append(spearman(r, exact[int(s)]))
+            row.online_time, row.l1, row.spearman = score_queries(
+                lambda s: method.query(s, Deadline(time_cap)), seeds, exact
+            )
         except OutOfTime:
             row.status = "OOT-online"
-            row.online_time = None
             continue
-        row.online_time = float(np.mean(row.per_seed_online))
-        row.l1 = float(np.mean(l1s))
-        row.spearman = float(np.mean(sps))
         if name == "TPA":
             tpa_obj = method  # reuse preprocessing for the TPA-NA row
     # TPA-NA ablation row (no separate preprocessing: same family part)
     if tpa_obj is not None:
-        row = MethodRow(dataset=dataset, method="TPA-NA")
-        l1s, sps, times = [], [], []
-        for s in seeds:
-            t0 = time.perf_counter()
-            r = tpa_obj.query_na(int(s))
-            times.append(time.perf_counter() - t0)
-            l1s.append(l1_error(r, exact[int(s)]))
-            sps.append(spearman(r, exact[int(s)]))
-        row.online_time = float(np.mean(times))
-        row.l1 = float(np.mean(l1s))
-        row.spearman = float(np.mean(sps))
-        row.bytes = 0
+        row = MethodRow(dataset=dataset, method="TPA-NA", bytes=0)
+        row.online_time, row.l1, row.spearman = score_queries(tpa_obj.query_na, seeds, exact)
         rows.append(row)
     return rows

@@ -15,7 +15,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.local_cpi import n_iterations_to_converge
+from repro.core.local_cpi import DEFAULT_C, n_iterations_to_converge
 from repro.core.tpa import SparkTPA
 from repro.graph.edges import edges_from_numpy, release
 from repro.graph.generators import dcsbm
@@ -30,7 +30,6 @@ def spark_scale_table(
     spark: SparkSession,
     *,
     sizes: list[tuple[int, int]] | None = None,
-    c: float = 0.15,
     S: int = 4,
     T: int = 10,
     eps: float = 1e-6,
@@ -43,12 +42,12 @@ def spark_scale_table(
     budget; the per-iteration cost — the quantity under test — is unchanged.
     """
     sizes = DEFAULT_SIZES if sizes is None else sizes
-    iters = n_iterations_to_converge(c, eps)
+    iters = n_iterations_to_converge(DEFAULT_C, eps)
     rows = []
     for n, m in sizes:
         # Seeded by size, so a one-size call builds the same graph as the sweep.
         _, src, dst, _ = dcsbm(n, m, seed=100 + n)
-        tpa = SparkTPA(spark, edges_from_numpy(spark, src, dst), n, c=c, S=S, T=T, eps=eps)
+        tpa = SparkTPA(spark, edges_from_numpy(spark, src, dst), n, S=S, T=T, eps=eps)
         t0 = time.perf_counter()
         tpa.preprocess()
         pre = time.perf_counter() - t0

@@ -3,18 +3,20 @@
 Each returns a pandas DataFrame whose printed rows are the reproduction of
 the corresponding paper figure (figures themselves are out of scope; see
 DESIGN.md §5). The main-comparison tables (Fig. 1a/1b/1c, 3, 4) share one
-cached run per (datasets, sf, seeds, cap), so building all four costs one
-run. ``jobs/`` prints these tables and ``benchmarks/bench_tables.py`` times
-them; there is no other implementation of the evaluation.
+cached run per (datasets, sf, seeds, cap), so building all five costs one
+run. ``TABLES`` registers every builder under its DESIGN.md §5 id, with its
+title and the scale arguments it takes: ``jobs/tables.py`` prints a table by
+id and ``benchmarks/bench_tables.py`` times each one; there is no other
+implementation of the evaluation.
 """
 from __future__ import annotations
 
-import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
-from repro.core.local_cpi import exact_rwr
 from repro.core.local_tpa import LocalTPA
 from repro.experiments.datasets import DATASET_ORDER, DATASETS, er_twin, load_local
 from repro.experiments.runner import (
@@ -24,22 +26,28 @@ from repro.experiments.runner import (
     exact_vectors,
     pick_seeds,
     run_dataset,
+    score_queries,
 )
-from repro.metrics import l1_error, spearman
 
 __all__ = [
+    "TABLES",
+    "Table",
+    "render",
     "datasets_table",
     "main_rows",
     "preprocessing_table",
     "online_table",
-    "accuracy_table",
+    "l1_table",
+    "spearman_table",
     "memory_table",
     "stranger_effect_table",
     "neighbor_effect_table",
     "effect_of_S_table",
     "effect_of_T_table",
-    "format_table",
 ]
+
+# Fig. 7 and Fig. 8 sweep the paper's two mid-size graphs.
+SWEEP_DATASETS = ("livejournal-lite", "pokec-lite")
 
 _MAIN_CACHE: dict[tuple, list[MethodRow]] = {}
 
@@ -113,12 +121,14 @@ def online_table(**kw) -> pd.DataFrame:
     return _pivot(main_rows(**kw), "online_time")
 
 
-def accuracy_table(**kw) -> pd.DataFrame:
-    """Fig. 1(c) + Fig. 4: L1 error and Spearman correlation vs exact RWR."""
-    rows = main_rows(**kw)
-    l1 = _pivot(rows, "l1").add_suffix(" L1")
-    sp = _pivot(rows, "spearman").add_suffix(" rho")
-    return pd.concat([l1, sp], axis=1)
+def l1_table(**kw) -> pd.DataFrame:
+    """Fig. 1(c): L1 error vs exact RWR per method."""
+    return _pivot(main_rows(**kw), "l1").add_suffix(" L1")
+
+
+def spearman_table(**kw) -> pd.DataFrame:
+    """Fig. 4: Spearman rank correlation vs exact RWR per method."""
+    return _pivot(main_rows(**kw), "spearman").add_suffix(" rho")
 
 
 def memory_table(**kw) -> pd.DataFrame:
@@ -140,10 +150,7 @@ def stranger_effect_table(
         tpa.preprocess()
         rec = {"dataset": name}
         for label, fn in [("TPA", tpa.query), ("TPA-NA", tpa.query_na)]:
-            l1s = [l1_error(fn(int(s)), exact[int(s)]) for s in seeds]
-            sps = [spearman(fn(int(s)), exact[int(s)]) for s in seeds]
-            rec[f"{label} L1"] = float(np.mean(l1s))
-            rec[f"{label} rho"] = float(np.mean(sps))
+            _, rec[f"{label} L1"], rec[f"{label} rho"] = score_queries(fn, seeds, exact)
         rows.append(rec)
     return pd.DataFrame(rows).set_index("dataset")
 
@@ -167,16 +174,15 @@ def neighbor_effect_table(
             exact = exact_vectors(graph, seeds)
             tpa = LocalTPA(graph, c=C, S=spec.S, T=spec.T, eps=EPS)
             tpa.preprocess()
-            l1s = [l1_error(tpa.query_na(int(s)), exact[int(s)]) for s in seeds]
-            sps = [spearman(tpa.query_na(int(s)), exact[int(s)]) for s in seeds]
-            rec[f"{label} L1"] = float(np.mean(l1s))
-            rec[f"{label} rho"] = float(np.mean(sps))
+            _, rec[f"{label} L1"], rec[f"{label} rho"] = score_queries(
+                tpa.query_na, seeds, exact
+            )
         rows.append(rec)
     return pd.DataFrame(rows).set_index("dataset")
 
 
 def effect_of_S_table(
-    datasets: list[str] = ("livejournal-lite", "pokec-lite"),
+    datasets: list[str] | None = None,
     *,
     S_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
     T: int = 10,
@@ -186,7 +192,7 @@ def effect_of_S_table(
     """Fig. 7: sweep S at fixed T=10 — online time vs L1 error trade-off.
     The stranger vector is preprocessed once per dataset and shared."""
     rows = []
-    for name in datasets:
+    for name in SWEEP_DATASETS if datasets is None else datasets:
         g, spec = load_local(name, sf)
         seeds = pick_seeds(g, n_seeds)
         exact = exact_vectors(g, seeds)
@@ -196,25 +202,20 @@ def effect_of_S_table(
             if tpa.T not in strangers:
                 strangers[tpa.T] = tpa.preprocess()
             tpa.r_stranger = strangers[tpa.T]
-            times, l1s = [], []
-            for s in seeds:
-                t0 = time.perf_counter()
-                r = tpa.query(int(s))
-                times.append(time.perf_counter() - t0)
-                l1s.append(l1_error(r, exact[int(s)]))
+            online_time, l1, _ = score_queries(tpa.query, seeds, exact)
             rows.append(
                 {
                     "dataset": name,
                     "S": S,
-                    "online_time": float(np.mean(times)),
-                    "L1": float(np.mean(l1s)),
+                    "online_time": online_time,
+                    "L1": l1,
                 }
             )
     return pd.DataFrame(rows)
 
 
 def effect_of_T_table(
-    datasets: list[str] = ("livejournal-lite", "pokec-lite"),
+    datasets: list[str] | None = None,
     *,
     T_values: tuple = (4, 5, 6, 8, 10, 15, 20, 30, None),
     S: int = 4,
@@ -224,7 +225,7 @@ def effect_of_T_table(
     """Fig. 8: sweep T at fixed S=4 — L1 error dips then rebounds; Spearman
     stays high for any finite T. ``T=None`` means ∞ (no stranger term)."""
     rows = []
-    for name in datasets:
+    for name in SWEEP_DATASETS if datasets is None else datasets:
         g, spec = load_local(name, sf)
         seeds = pick_seeds(g, n_seeds)
         exact = exact_vectors(g, seeds)
@@ -235,22 +236,51 @@ def effect_of_T_table(
             else:
                 tpa = LocalTPA(g, c=C, S=S, T=max(T, S), eps=EPS)
                 tpa.preprocess()
-            l1s, sps = [], []
-            for s in seeds:
-                r = tpa.query(int(s))
-                l1s.append(l1_error(r, exact[int(s)]))
-                sps.append(spearman(r, exact[int(s)]))
+            _, l1, rho = score_queries(tpa.query, seeds, exact)
             rows.append(
                 {
                     "dataset": name,
                     "T": float("inf") if T is None else T,
-                    "L1": float(np.mean(l1s)),
-                    "rho": float(np.mean(sps)),
+                    "L1": l1,
+                    "rho": rho,
                 }
             )
     return pd.DataFrame(rows)
 
 
-def format_table(df: pd.DataFrame, title: str) -> str:
-    """Markdown-ish rendering used by jobs and EXPERIMENTS.md."""
-    return f"### {title}\n\n{df.to_string(float_format=lambda v: f'{v:.6g}')}\n"
+@dataclass(frozen=True)
+class Table:
+    """One evaluation table: its builder, its printed title, and the scale
+    arguments (of ``datasets``, ``sf``, ``n_seeds``, ``time_cap``) the
+    builder takes."""
+
+    build: Callable[..., pd.DataFrame]
+    title: str
+    args: tuple[str, ...]
+
+
+SCALE = ("datasets", "sf", "n_seeds")
+MAIN = (*SCALE, "time_cap")
+
+# Keyed by the DESIGN.md §5 ids.
+TABLES: dict[str, Table] = {
+    "T2": Table(datasets_table, "Table II — dataset statistics", ("sf",)),
+    "T1a": Table(preprocessing_table, "Fig. 1(a) — preprocessing time [s]", MAIN),
+    "T1b": Table(online_table, "Fig. 1(b) — online time per query [s]", MAIN),
+    "T1c": Table(l1_table, "Fig. 1(c) — L1 error", MAIN),
+    "T3": Table(memory_table, "Fig. 3 — preprocessed data [bytes]", MAIN),
+    "T4": Table(spearman_table, "Fig. 4 — Spearman correlation", MAIN),
+    "T5": Table(stranger_effect_table, "Fig. 5 — stranger approximation ablation", SCALE),
+    "T6": Table(
+        neighbor_effect_table,
+        "Fig. 6 — neighbor approximation on real-like vs random graphs",
+        SCALE,
+    ),
+    "T7": Table(effect_of_S_table, "Fig. 7 — effect of S", SCALE),
+    "T8": Table(effect_of_T_table, "Fig. 8 — effect of T", SCALE),
+}
+
+
+def render(df: pd.DataFrame, title: str) -> str:
+    """A table as the jobs and the benchmark summary print it."""
+    return f"\n=== {title} ===\n{df.to_string(float_format=lambda v: f'{v:.6g}')}"

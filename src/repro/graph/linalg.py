@@ -23,15 +23,14 @@ __all__ = ["LocalGraph"]
 class LocalGraph:
     """Immutable directed graph over node ids ``0..n-1`` with O(m) SpMV.
 
-    ``out_csr``/``in_csr`` adjacency is built lazily (first access) because
-    only push-style baselines and random walks need it.
+    ``out_csr``/``und_csr`` adjacency is built lazily (first access) because
+    only random walks and the partitioners need it.
     """
 
     n: int
     src: np.ndarray
     dst: np.ndarray
     _out_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _in_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     _und_csr: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -66,19 +65,6 @@ class LocalGraph:
         """``Ãᵀ x``: propagate scores one step along out-edges."""
         return np.bincount(self.dst, weights=x[self.src] * self.edge_w, minlength=self.n)
 
-    def push_from(self, x: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """``Ãᵀ (x ⊙ active)``: propagate only from nodes where ``active`` is
-        True. Used by the restricted-propagation baselines (RPPR/BRPPR)."""
-        sel = active[self.src]
-        return np.bincount(
-            self.dst[sel], weights=x[self.src[sel]] * self.edge_w[sel], minlength=self.n
-        )
-
-    def pull(self, x: np.ndarray) -> np.ndarray:
-        """``Ã x``: y[u] = Σ_{u→v} x[v]/out_deg(u) — the adjoint direction,
-        used by backward push (HubPPR) and tests."""
-        return np.bincount(self.src, weights=x[self.dst] * self.edge_w, minlength=self.n)
-
     def dense_transition_T(self) -> np.ndarray:
         """Dense ``Ãᵀ`` (n×n) — tests only; O(n²) memory."""
         a = np.zeros((self.n, self.n))
@@ -101,13 +87,6 @@ class LocalGraph:
         return self._out_csr
 
     @property
-    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, neighbors): in-neighbors of v."""
-        if self._in_csr is None:
-            self._in_csr = self._csr(self.n, self.dst, self.src)
-        return self._in_csr
-
-    @property
     def und_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected adjacency (edges in both directions) for BFS/partition."""
         if self._und_csr is None:
@@ -115,14 +94,6 @@ class LocalGraph:
             v = np.concatenate([self.dst, self.src])
             self._und_csr = self._csr(self.n, k, v)
         return self._und_csr
-
-    def out_neighbors(self, u: int) -> np.ndarray:
-        indptr, nbrs = self.out_csr
-        return nbrs[indptr[u] : indptr[u + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        indptr, nbrs = self.in_csr
-        return nbrs[indptr[v] : indptr[v + 1]]
 
     # -- traversal ---------------------------------------------------------
     def bfs(self, start: int, allowed: np.ndarray | None = None) -> np.ndarray:

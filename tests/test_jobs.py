@@ -1,74 +1,50 @@
 """Smoke tests for the jobs/ entrypoints.
 
-Local-only jobs run in-process via runpy with a tiny --sf; the Spark jobs
-manage their own SparkSession lifecycle (they would stop the shared test
-session), so their underlying library functions are exercised instead —
-``spark_scale_table`` at miniature size here, and SparkTPA throughout
-tests/test_spark_tpa.py.
+``jobs/tables.py`` runs in-process via runpy at a tiny scale, once per
+``TABLES`` id; the Spark jobs manage their own SparkSession lifecycle (they
+would stop the shared test session), so their underlying library functions
+are exercised instead — ``spark_scale_table`` at miniature size here, and
+SparkTPA throughout tests/test_spark_tpa.py.
 """
 import runpy
 import sys
 
 import pytest
 
-JOBS = "jobs"
+from repro.experiments.tables import TABLES
+
+# A tiny value for each scale argument, as the flags that set it.
+TINY = {
+    "datasets": ("--datasets", "slashdot-lite"),
+    "sf": ("--sf", "0.01"),
+    "n_seeds": ("--seeds", "1"),
+    "time_cap": ("--cap", "20"),
+}
 
 
-def run_job(monkeypatch, capsys, name: str, *argv: str) -> str:
-    monkeypatch.setattr(sys, "argv", [name, *argv])
-    runpy.run_path(f"{JOBS}/{name}", run_name="__main__")
+def run_tables_job(monkeypatch, capsys, *argv: str) -> str:
+    monkeypatch.setattr(sys, "argv", ["tables.py", *argv])
+    runpy.run_path("jobs/tables.py", run_name="__main__")
     return capsys.readouterr().out
 
 
-TINY = ("--sf", "0.01", "--seeds", "1", "--cap", "20",
-        "--datasets", "slashdot-lite")
-
-
 class TestLocalJobs:
-    def test_table2(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "table2_datasets.py", "--sf", "0.01")
-        assert "slashdot-lite" in out and "friendster-lite" in out
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_table(self, monkeypatch, capsys, table):
+        flags = [v for arg in TABLES[table].args for v in TINY[arg]]
+        out = run_tables_job(monkeypatch, capsys, table, *flags)
+        assert f"=== {TABLES[table].title} ===" in out
+        assert "slashdot-lite" in out
 
-    def test_fig1a(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig1a_preprocessing.py", *TINY)
-        assert "preprocessing time" in out and "TPA" in out
-
-    def test_fig1b(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig1b_online.py", *TINY)
-        assert "online time" in out
-
-    def test_fig1c(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig1c_l1_error.py", *TINY)
-        assert "L1 error" in out
-
-    def test_fig3(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig3_memory.py", *TINY)
-        assert "preprocessed data" in out
-
-    def test_fig4(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig4_rank_accuracy.py", *TINY)
-        assert "Spearman" in out
-
-    def test_fig5(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig5_stranger_effect.py", *TINY[:4],
-                      "--datasets", "slashdot-lite")
-        assert "stranger approximation" in out
-
-    def test_fig6(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig6_neighbor_effect.py", *TINY[:4],
-                      "--datasets", "slashdot-lite")
-        assert "neighbor approximation" in out
-
-    def test_fig7(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig7_effect_s.py", *TINY[:4],
-                      "--datasets", "pokec-lite")
-        assert "effect of S" in out
-
-    def test_fig8(self, monkeypatch, capsys):
-        out = run_job(monkeypatch, capsys, "fig8_effect_t.py", *TINY[:4],
-                      "--datasets", "pokec-lite")
-        assert "effect of T" in out
-        assert any(line.split()[2:3] == ["5"] for line in out.splitlines())  # Fig. 8's minimum
+    @pytest.mark.parametrize(
+        "argv",
+        [("T2", "--seeds", "1"), ("T5", "--cap", "5"), ("T5", "--datasets", "nope")],
+        ids=["T2-seeds", "T5-cap", "T5-unknown-dataset"],
+    )
+    def test_flag_the_builder_does_not_take_exits_2(self, monkeypatch, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            run_tables_job(monkeypatch, capsys, *argv)
+        assert exit_.value.code == 2
 
 
 class TestSparkScaleFunction:

@@ -47,12 +47,6 @@ class TestSpMV:
         x = rng.random(g.n)
         assert np.allclose(g.push(x), A @ x)
 
-    def test_pull_matches_dense(self, g):
-        A = g.dense_transition_T()
-        rng = np.random.default_rng(1)
-        x = rng.random(g.n)
-        assert np.allclose(g.pull(x), A.T @ x)
-
     def test_push_preserves_l1_without_dangling(self, g):
         assert g.n_dangling == 0
         x = np.random.default_rng(2).random(g.n)
@@ -62,13 +56,6 @@ class TestSpMV:
         gg = graph_from(gen.chain(4))
         x = np.ones(4)
         assert gg.push(x).sum() == pytest.approx(3.0)
-
-    def test_push_from_masks_sources(self, g):
-        x = np.random.default_rng(3).random(g.n)
-        active = np.zeros(g.n, dtype=bool)
-        active[: g.n // 2] = True
-        masked = x * active
-        assert np.allclose(g.push_from(x, active), g.push(masked))
 
     def test_push_linear(self, g):
         rng = np.random.default_rng(4)
@@ -90,19 +77,6 @@ class TestSpMV:
 
 
 class TestAdjacency:
-    def test_out_neighbors(self):
-        gg = graph_from(gen.cycle(5))
-        assert list(gg.out_neighbors(2)) == [3]
-
-    def test_in_neighbors(self):
-        gg = graph_from(gen.cycle(5))
-        assert list(gg.in_neighbors(0)) == [4]
-
-    def test_star_neighbors(self):
-        gg = graph_from(gen.star(5))
-        assert sorted(gg.out_neighbors(0)) == [1, 2, 3, 4]
-        assert sorted(gg.in_neighbors(0)) == [1, 2, 3, 4]
-
     def test_csr_consistent_with_edges(self, g):
         indptr, nbrs = g.out_csr
         assert indptr[-1] == g.m

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.local_cpi import (
     cpi,
     exact_rwr,
-    interim_vectors,
     n_iterations_to_converge,
     pagerank,
     seed_vector,
@@ -68,29 +67,30 @@ class TestTheorem1:
 
 
 class TestInterimNorms:
+    """x⁽ⁱ⁾ read as CPI's single-term window [i, i]."""
+
     def test_norm_identity(self, g):
         """Lemma 3's ingredient: ‖x⁽ⁱ⁾‖₁ = c(1-c)ⁱ on dangling-free graphs."""
-        xs = interim_vectors(g, seed_vector(g.n, 0), upto=10)
-        for i, x in enumerate(xs):
+        for i in range(11):
+            x = cpi(g, seed_vector(g.n, 0), s_iter=i, t_iter=i)
             assert x.sum() == pytest.approx(C * (1 - C) ** i, rel=1e-12)
 
     def test_norm_leaks_with_dangling(self):
         gg = graph_from(gen.chain(4))
-        xs = interim_vectors(gg, seed_vector(4, 3), upto=2)
+        q = seed_vector(4, 3)
         # seed 3 is dangling: all mass leaks after iteration 0
-        assert xs[0].sum() == pytest.approx(C)
-        assert xs[1].sum() == 0.0
+        assert cpi(gg, q, s_iter=0, t_iter=0).sum() == pytest.approx(C)
+        assert cpi(gg, q, s_iter=1, t_iter=1).sum() == 0.0
 
     def test_nonnegative(self, g):
-        xs = interim_vectors(g, seed_vector(g.n, 0), upto=6)
-        for x in xs:
-            assert (x >= 0).all()
+        for i in range(7):
+            assert (cpi(g, seed_vector(g.n, 0), s_iter=i, t_iter=i) >= 0).all()
 
     def test_lemma1_bound(self, g):
         """‖x⁽ⁱ⁾ − x′⁽ⁱ⁾‖₁ ≤ 2c(1-c)ⁱ between RWR and PageRank interims."""
-        xs = interim_vectors(g, seed_vector(g.n, 0), upto=8)
-        xps = interim_vectors(g, uniform_vector(g.n), upto=8)
-        for i, (x, xp) in enumerate(zip(xs, xps)):
+        for i in range(9):
+            x = cpi(g, seed_vector(g.n, 0), s_iter=i, t_iter=i)
+            xp = cpi(g, uniform_vector(g.n), s_iter=i, t_iter=i)
             assert np.abs(x - xp).sum() <= 2 * C * (1 - C) ** i + 1e-12
 
 
@@ -129,12 +129,6 @@ class TestWindows:
     def test_negative_s_iter_raises(self, g):
         with pytest.raises(ValueError):
             cpi(g, seed_vector(g.n, 0), s_iter=-1)
-
-    def test_max_iter_truncates(self, g):
-        q = seed_vector(g.n, 0)
-        r = cpi(g, q, eps=0.0, max_iter=3)
-        ref = cpi(g, q, s_iter=0, t_iter=2)
-        assert np.allclose(r, ref)
 
 
 class TestClosedForms:

@@ -54,7 +54,7 @@ class TestSparkCpi:
     def test_family_window(self, spark, setup):
         g, norm = setup
         got = vector_to_numpy(
-            cpi_spark(spark, norm, seed_vector_df(spark, 7), s_iter=0, t_iter=3), g.n
+            cpi_spark(norm, seed_vector_df(spark, 7), s_iter=0, t_iter=3), g.n
         )
         ref = cpi(g, seed_vector(g.n, 7), s_iter=0, t_iter=3)
         assert np.abs(got - ref).sum() < 1e-10
@@ -62,7 +62,7 @@ class TestSparkCpi:
     def test_mid_window(self, spark, setup):
         g, norm = setup
         got = vector_to_numpy(
-            cpi_spark(spark, norm, seed_vector_df(spark, 7), s_iter=4, t_iter=8), g.n
+            cpi_spark(norm, seed_vector_df(spark, 7), s_iter=4, t_iter=8), g.n
         )
         ref = cpi(g, seed_vector(g.n, 7), s_iter=4, t_iter=8)
         assert np.abs(got - ref).sum() < 1e-10
@@ -70,7 +70,7 @@ class TestSparkCpi:
     def test_converged_full(self, spark, setup):
         g, norm = setup
         got = vector_to_numpy(
-            cpi_spark(spark, norm, seed_vector_df(spark, 7), eps=1e-3), g.n
+            cpi_spark(norm, seed_vector_df(spark, 7), eps=1e-3), g.n
         )
         ref = cpi(g, seed_vector(g.n, 7), eps=1e-3)
         assert np.abs(got - ref).sum() < 1e-10
@@ -78,7 +78,7 @@ class TestSparkCpi:
     def test_pagerank_tail(self, spark, setup):
         g, norm = setup
         got = vector_to_numpy(
-            cpi_spark(spark, norm, uniform_vector_df(spark, g.n), s_iter=5, eps=1e-3),
+            cpi_spark(norm, uniform_vector_df(spark, g.n), s_iter=5, eps=1e-3),
             g.n,
         )
         ref = cpi(g, uniform_vector(g.n), s_iter=5, eps=1e-3)
@@ -87,28 +87,20 @@ class TestSparkCpi:
     def test_empty_window_returns_zero_vector(self, spark, setup):
         g, norm = setup
         out = cpi_spark(
-            spark, norm, seed_vector_df(spark, 0), s_iter=5, t_iter=4, eps=1e-3
+            norm, seed_vector_df(spark, 0), s_iter=5, t_iter=4, eps=1e-3
         )
         assert l1_norm(out) == 0.0
 
     def test_negative_s_iter_raises(self, spark, setup):
         _, norm = setup
         with pytest.raises(ValueError):
-            cpi_spark(spark, norm, seed_vector_df(spark, 0), s_iter=-1)
-
-    def test_max_iter_truncation(self, spark, setup):
-        g, norm = setup
-        got = vector_to_numpy(
-            cpi_spark(spark, norm, seed_vector_df(spark, 3), eps=0.0, max_iter=3), g.n
-        )
-        ref = cpi(g, seed_vector(g.n, 3), s_iter=0, t_iter=2)
-        assert np.abs(got - ref).sum() < 1e-10
+            cpi_spark(norm, seed_vector_df(spark, 0), s_iter=-1)
 
     def test_result_reusable_after_return(self, spark, setup):
         """localCheckpoint must make the result independent of the loop's
         intermediate frames — consuming it twice gives identical rows."""
         g, norm = setup
-        out = cpi_spark(spark, norm, seed_vector_df(spark, 7), s_iter=0, t_iter=2)
+        out = cpi_spark(norm, seed_vector_df(spark, 7), s_iter=0, t_iter=2)
         a = vector_to_numpy(out, g.n)
         b = vector_to_numpy(out, g.n)
         assert np.array_equal(a, b)
@@ -118,21 +110,21 @@ class TestSparkCpi:
         _, norm = setup
         rdds = spark.sparkContext._jsc.getPersistentRDDs
         before = set(rdds().keySet())
-        out = cpi_spark(spark, norm, uniform_vector_df(spark, N), s_iter=3, eps=1e-2)
+        out = cpi_spark(norm, uniform_vector_df(spark, N), s_iter=3, eps=1e-2)
         assert len(set(rdds().keySet()) - before) == 1
         assert out.count() > 0
 
     def test_shuffle_partitions_restored(self, spark, setup):
         _, norm = setup
         before = {k: spark.conf.get(k) for k in SESSION_KEYS}
-        cpi_spark(spark, norm, seed_vector_df(spark, 0), s_iter=0, t_iter=1)
+        cpi_spark(norm, seed_vector_df(spark, 0), s_iter=0, t_iter=1)
         assert {k: spark.conf.get(k) for k in SESSION_KEYS} == before
 
     def test_session_settings_restored_on_error(self, spark, setup):
         _, norm = setup
         before = {k: spark.conf.get(k) for k in SESSION_KEYS}
         with pytest.raises(AnalysisException, match="score"):
-            cpi_spark(spark, norm, spark.range(3))  # no score column
+            cpi_spark(norm, spark.range(3))  # no score column
         assert {k: spark.conf.get(k) for k in SESSION_KEYS} == before
 
 
@@ -175,7 +167,7 @@ class TestSuperstepCost:
         _, norm = setup
         q = seed_vector_df(spark, 7) if seeded else uniform_vector_df(spark, N)
         with SparkJobs(spark) as count:
-            out = cpi_spark(spark, norm, q, **window)
+            out = cpi_spark(norm, q, **window)
         assert count.jobs == supersteps + 2
         release(out)
 
@@ -207,7 +199,7 @@ class TestDanglingDrain:
     )
     def test_matches_local(self, spark, dangling, seed, window):
         g, norm = dangling
-        out = cpi_spark(spark, norm, seed_vector_df(spark, seed), **window)
+        out = cpi_spark(norm, seed_vector_df(spark, seed), **window)
         got = vector_to_numpy(out, g.n)
         release(out)
         assert np.abs(got - cpi(g, seed_vector(g.n, seed), **window)).sum() < 1e-10
@@ -216,6 +208,6 @@ class TestDanglingDrain:
     def test_interim_norms_bounded(self, spark, dangling, seed):
         _, norm = dangling
         for i in range(6):
-            out = cpi_spark(spark, norm, seed_vector_df(spark, seed), s_iter=i, t_iter=i)
+            out = cpi_spark(norm, seed_vector_df(spark, seed), s_iter=i, t_iter=i)
             assert l1_norm(out) <= C * (1 - C) ** i + 1e-15
             release(out)

@@ -1,11 +1,14 @@
 """Tests for the per-figure table builders at tiny scale — each table's
 qualitative *shape* (who wins, which direction a sweep moves) is asserted,
-not absolute numbers."""
+not absolute numbers — and for the ``TABLES`` registry against the docs."""
+import re
+from pathlib import Path
+
 import numpy as np
-import pandas as pd
-import pytest
 
 from repro.experiments import tables
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SF = 0.015
 DS = ["slashdot-lite", "pokec-lite"]
@@ -47,12 +50,12 @@ class TestMainTables:
         assert (df["TPA"].dropna() > 0).all()
 
     def test_accuracy_table_has_both_metrics(self):
-        df = tables.accuracy_table(**KW)
-        assert any(c.endswith(" L1") for c in df.columns)
-        assert any(c.endswith(" rho") for c in df.columns)
+        """Fig. 1(c) holds the L1 columns and Fig. 4 the ρ columns."""
+        assert all(c.endswith(" L1") for c in tables.l1_table(**KW).columns)
+        assert all(c.endswith(" rho") for c in tables.spearman_table(**KW).columns)
 
     def test_tpa_spearman_high(self):
-        df = tables.accuracy_table(**KW)
+        df = tables.spearman_table(**KW)
         assert (df["TPA rho"].dropna() > 0.8).all()
 
     def test_memory_table_tpa_is_8n(self):
@@ -141,7 +144,22 @@ class TestAblationTables:
         )
         assert (df["rho"] > 0.8).all()
 
-    def test_format_table_returns_str(self):
-        df = tables.datasets_table(sf=SF)
-        out = tables.format_table(df, "t")
-        assert isinstance(out, str) and "### t" in out
+    def test_effect_of_T_default_sweep(self):
+        """Without ``datasets`` Fig. 8 sweeps its own pair, and its T values
+        include the paper's minimum T=5."""
+        df = tables.effect_of_T_table(sf=SF, n_seeds=1)
+        assert set(df["dataset"]) == set(tables.SWEEP_DATASETS)
+        assert 5 in df["T"].tolist()
+
+
+class TestRegistry:
+    def test_every_id_in_design_and_experiments(self):
+        """Each ``TABLES`` id has a DESIGN.md §5 row and an EXPERIMENTS.md
+        heading that names its benchmark."""
+        design = (ROOT / "DESIGN.md").read_text()
+        section5 = design[design.index("## 5.") : design.index("## 6.")]
+        headings = re.findall(r"^## .*$", (ROOT / "EXPERIMENTS.md").read_text(), re.M)
+        for table_id in tables.TABLES:
+            assert f"\n| {table_id} |" in section5, table_id
+            assert any(f"`test_table[{table_id}]`" in h for h in headings), table_id
+
