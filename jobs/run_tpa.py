@@ -22,12 +22,7 @@ if __name__ == "__main__":
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--topk", type=int, default=10)
     args = p.parse_args()
-    spark = (
-        SparkSession.builder.appName("tpa-run")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    spark = SparkSession.builder.appName("tpa-run").getOrCreate()
     try:
         _, src, dst, _ = dcsbm(args.n, args.m, seed=0)
         edges = edges_from_numpy(spark, src, dst)

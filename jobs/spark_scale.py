@@ -5,17 +5,12 @@ online time across growing DCSBM graphs, plus the O(m)-per-iteration check.
 """
 from pyspark.sql import SparkSession
 
-from repro.experiments.spark_scale import spark_scale_table
+from repro.experiments.spark_scale import TITLE, spark_scale_table
 from repro.experiments.tables import render
 
 if __name__ == "__main__":
-    spark = (
-        SparkSession.builder.appName("tpa-spark-scale")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    spark = SparkSession.builder.appName("tpa-spark-scale").getOrCreate()
     try:
-        print(render(spark_scale_table(spark), "TS — distributed TPA scalability"))
+        print(render(spark_scale_table(spark), TITLE))
     finally:
         spark.stop()

@@ -92,7 +92,6 @@ class BearApprox:
         # block-elimination correctness rests on it.
         if (~same_comp).any():
             raise AssertionError("spoke edge crosses components — broken partition")
-        self._cross_spoke_edges = 0
         eb = comp_of[ss]
         order = np.argsort(eb, kind="stable")
         ss, sd, sv, eb = ss[order], sd[order], sv[order], eb[order]

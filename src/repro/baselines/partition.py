@@ -17,7 +17,7 @@ from repro.graph.linalg import LocalGraph
 __all__ = ["bfs_blocks", "slashburn_lite"]
 
 
-def bfs_blocks(graph: LocalGraph, target_size: int, *, seed: int = 0) -> np.ndarray:
+def bfs_blocks(graph: LocalGraph, target_size: int) -> np.ndarray:
     """Partition nodes into blocks of ≈``target_size`` by repeated BFS.
 
     Starts each block from the highest-degree unassigned node and grows it

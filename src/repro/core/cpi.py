@@ -40,18 +40,21 @@ def cpi_spark(
     ``q`` is the seed vector DataFrame (id, score) with q-values; internally
     x⁽⁰⁾ = c·q, exactly as Algorithm 1, in ``norm_edges``' session, for at
     most ``MAX_ITER`` supersteps. A call with k supersteps runs k + 2
-    Spark jobs: x⁽⁰⁾, one per superstep, and the window sum. The returned
+    Spark jobs: x⁽⁰⁾, one per superstep, and the window sum; an empty
+    window (``t_iter < s_iter``) runs none of them. The returned
     DataFrame is checkpointed and safe to reuse after this function returns;
     the interim vectors' checkpoints are released before it does.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
     with shuffle_partitions(norm_edges.sparkSession):
+        empty = scale_vector(q.limit(0), 0.0)
+        if t_iter is not None and t_iter < s_iter:
+            return empty.localCheckpoint(eager=True)  # an empty window needs no superstep
         x, norm = checkpoint(scale_vector(q, c))
         xs = [x]  # every interim vector, released once the result is materialised
         try:
             parts: list[DataFrame] = []
-            empty = scale_vector(q.limit(0), 0.0)
             for i in range(MAX_ITER):
                 in_window = i >= s_iter and (t_iter is None or i <= t_iter)
                 if in_window:

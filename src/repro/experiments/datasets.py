@@ -22,7 +22,7 @@ __all__ = ["DatasetSpec", "DATASETS", "DATASET_ORDER", "load_local", "er_twin", 
 @dataclass(frozen=True)
 class DatasetSpec:
     """One synthetic dataset: target size, TPA window (paper Table II), and
-    generator parameters."""
+    generator seed; the other DCSBM parameters are ``dcsbm``'s defaults."""
 
     name: str
     n: int
@@ -32,9 +32,6 @@ class DatasetSpec:
     paper_n: int
     paper_m: int
     seed: int = 0
-    p_in: float = 0.8
-    alpha_out: float = 0.7
-    alpha_in: float = 0.9
 
     @property
     def n_blocks(self) -> int:
@@ -85,15 +82,7 @@ def scaled(spec: DatasetSpec, sf: float) -> DatasetSpec:
 @lru_cache(maxsize=32)
 def _load(name: str, sf: float) -> tuple[LocalGraph, DatasetSpec]:
     spec = scaled(DATASETS[name], sf)
-    n, src, dst, _ = dcsbm(
-        spec.n,
-        spec.m,
-        n_blocks=spec.n_blocks,
-        p_in=spec.p_in,
-        alpha_out=spec.alpha_out,
-        alpha_in=spec.alpha_in,
-        seed=spec.seed,
-    )
+    n, src, dst, _ = dcsbm(spec.n, spec.m, n_blocks=spec.n_blocks, seed=spec.seed)
     return LocalGraph(n, src, dst), spec
 
 

@@ -139,20 +139,13 @@ def memory_table(**kw) -> pd.DataFrame:
 def stranger_effect_table(
     datasets: list[str] | None = None, *, sf: float = 1.0, n_seeds: int = 5
 ) -> pd.DataFrame:
-    """Fig. 5: TPA vs TPA-NA accuracy — the stranger approximation's value."""
-    datasets = DATASET_ORDER if datasets is None else datasets
-    rows = []
-    for name in datasets:
-        g, spec = load_local(name, sf)
-        seeds = pick_seeds(g, n_seeds)
-        exact = exact_vectors(g, seeds)
-        tpa = LocalTPA(g, c=C, S=spec.S, T=spec.T, eps=EPS)
-        tpa.preprocess()
-        rec = {"dataset": name}
-        for label, fn in [("TPA", tpa.query), ("TPA-NA", tpa.query_na)]:
-            _, rec[f"{label} L1"], rec[f"{label} rho"] = score_queries(fn, seeds, exact)
-        rows.append(rec)
-    return pd.DataFrame(rows).set_index("dataset")
+    """Fig. 5: TPA vs TPA-NA accuracy — the stranger approximation's value,
+    read from the main run's TPA and TPA-NA rows."""
+    rows = main_rows(datasets, sf=sf, n_seeds=n_seeds, methods=["TPA"])
+    df = pd.concat(
+        [_pivot(rows, "l1").add_suffix(" L1"), _pivot(rows, "spearman").add_suffix(" rho")], axis=1
+    )
+    return df[["TPA L1", "TPA rho", "TPA-NA L1", "TPA-NA rho"]].rename_axis(columns=None)
 
 
 def neighbor_effect_table(

@@ -5,10 +5,10 @@ A graph is an edge DataFrame ``(src: long, dst: long)``; a score vector is a
 entries. One CPI step is one Pregel/GraphX-style superstep expressed in
 Catalyst: ``edges ⋈ scores on src → groupBy(dst).sum((1-c)·w·score)`` — a
 co-partitioned join plus one aggregation shuffle. Ã is hash-partitioned by
-``src`` and a checkpointed vector by ``id``, both at ``PARTITIONS``; with
-adaptive query execution off (``shuffle_partitions``) the join needs no
-exchange. Broadcast joins are disabled by the session fixture, so the
-shuffle path is what runs.
+``src`` and a checkpointed vector by ``id``, both at ``PARTITIONS``, so the
+join needs no exchange. The session settings this rests on (no adaptive
+query execution, no broadcast joins) are pinned by ``shuffle_partitions``,
+whatever the caller's session says.
 
 Every operation here is mirrored by a DuckDB SQL statement in the oracle
 tests (tests/test_oracle_graph.py): a wrong join or aggregation is caught by
@@ -47,18 +47,26 @@ PARTITIONS = 8
 
 @contextmanager
 def shuffle_partitions(spark: SparkSession):
-    """The scope of CPI's session settings; the session's values are restored
-    on exit, also when the body raises.
+    """The scope of the Spark path's session settings; the session's values
+    are restored on exit, also when the body raises. It pins four:
 
-    Shuffles run at ``PARTITIONS``: iterative graph jobs on small-to-medium
-    vectors drown in task overhead at the session default (64). Adaptive
-    query execution is off: under it a checkpointed vector loses its
-    ``hashpartitioning(id, PARTITIONS)`` and is reshuffled for the join with
-    Ã every superstep, and a read of an observed metric costs extra jobs.
+    - ``spark.sql.shuffle.partitions`` = ``PARTITIONS``: iterative graph jobs
+      on small-to-medium vectors drown in task overhead at a larger count.
+    - ``spark.sql.adaptive.enabled`` = false: under adaptive query execution
+      a checkpointed vector loses its ``hashpartitioning(id, PARTITIONS)``
+      and is reshuffled for the join with Ã every superstep, and a read of an
+      observed metric costs extra jobs.
+    - ``spark.sql.autoBroadcastJoinThreshold`` = -1: a vector small enough
+      to broadcast would be joined with Ã by a broadcast job of its own, so
+      a superstep would be two jobs.
+    - ``spark.sql.execution.arrow.pyspark.enabled`` = true: data moves
+      between pandas and Spark through Arrow.
     """
     settings = {
         "spark.sql.shuffle.partitions": str(PARTITIONS),
         "spark.sql.adaptive.enabled": "false",
+        "spark.sql.autoBroadcastJoinThreshold": "-1",
+        "spark.sql.execution.arrow.pyspark.enabled": "true",
     }
     old = {key: spark.conf.get(key) for key in settings}
     try:
@@ -71,9 +79,10 @@ def shuffle_partitions(spark: SparkSession):
 
 
 def edges_from_numpy(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> DataFrame:
-    """Edge DataFrame from numpy endpoint arrays (Arrow-accelerated)."""
+    """Edge DataFrame from numpy endpoint arrays (through Arrow)."""
     pdf = pd.DataFrame({"src": np.asarray(src, np.int64), "dst": np.asarray(dst, np.int64)})
-    return spark.createDataFrame(pdf)
+    with shuffle_partitions(spark):
+        return spark.createDataFrame(pdf)
 
 
 def out_degrees(edges: DataFrame) -> DataFrame:
@@ -85,18 +94,19 @@ def normalize_edges(edges: DataFrame) -> DataFrame:
     """Row-normalised edges ``(src, dst, w)`` with ``w = 1/out_deg(src)``.
 
     This is Ã in edge form; dangling nodes simply contribute no rows. The
-    result is hash-partitioned by ``src`` at ``PARTITIONS`` (edges co-located
-    with their source vertex, as in Pregel/GraphX), persisted and
-    materialised — it is reused every iteration.
+    degree join runs inside ``shuffle_partitions``, so its result is
+    hash-partitioned by ``src`` at ``PARTITIONS`` and sorted by ``src``
+    (edges co-located with their source vertex, as in Pregel/GraphX). It is
+    persisted and materialised — it is reused every iteration.
     """
     deg = out_degrees(edges)
-    norm = (
-        edges.join(deg, edges["src"] == deg["id"], "inner")
-        .select("src", "dst", (F.lit(1.0) / F.col("out_deg")).alias("w"))
-        .repartition(PARTITIONS, "src")
-        .persist()
-    )
-    norm.count()  # materialise so iteration timing excludes normalisation
+    with shuffle_partitions(edges.sparkSession):
+        norm = (
+            edges.join(deg, edges["src"] == deg["id"], "inner")
+            .select("src", "dst", (F.lit(1.0) / F.col("out_deg")).alias("w"))
+            .persist()
+        )
+        norm.count()  # materialise so iteration timing excludes normalisation
     return norm
 
 
@@ -180,7 +190,8 @@ def release(x: DataFrame) -> None:
 
 def vector_to_numpy(x: DataFrame, n: int) -> np.ndarray:
     """Densify a sparse score vector to a length-n numpy array."""
-    pdf = x.toPandas()
+    with shuffle_partitions(x.sparkSession):
+        pdf = x.toPandas()
     out = np.zeros(n)
     if len(pdf):
         out[pdf["id"].to_numpy(np.int64)] = pdf["score"].to_numpy(np.float64)

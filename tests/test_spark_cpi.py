@@ -1,6 +1,7 @@
 """Distributed CPI vs the local reference: the Spark DataFrame implementation
 must be numerically identical (≤1e-10 L1) on every window configuration,
-and a superstep must cost one Spark job with one shuffle."""
+and a superstep must cost one Spark job with one shuffle, whatever the
+session's own settings."""
 import numpy as np
 import pytest
 from helpers import SparkJobs
@@ -10,6 +11,7 @@ from repro.core.cpi import cpi_spark
 from repro.core.local_cpi import cpi, seed_vector, uniform_vector
 from repro.graph import generators as gen
 from repro.graph.edges import (
+    PARTITIONS,
     checkpoint,
     edges_from_numpy,
     l1_norm,
@@ -26,20 +28,50 @@ from repro.graph.linalg import LocalGraph
 
 N, M = 150, 1200
 C = 0.15
-SESSION_KEYS = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+# Spark's own defaults for the four settings ``shuffle_partitions`` pins, all
+# four different from the pinned values.
+SPARK_DEFAULTS = {
+    "spark.sql.shuffle.partitions": "200",
+    "spark.sql.adaptive.enabled": "true",
+    "spark.sql.autoBroadcastJoinThreshold": "10485760b",
+    "spark.sql.execution.arrow.pyspark.enabled": "false",
+}
+PINNED = {
+    "spark.sql.shuffle.partitions": str(PARTITIONS),
+    "spark.sql.adaptive.enabled": "false",
+    "spark.sql.autoBroadcastJoinThreshold": "-1",
+    "spark.sql.execution.arrow.pyspark.enabled": "true",
+}
 
 
-def shuffle_exchanges(df) -> int:
-    """``ShuffleExchangeExec`` nodes in ``df``'s executed plan, found by walking
-    the plan tree's children. A cached relation's own plan is not a child, so
-    the exchanges that built Ã are not counted (its plan string shows them)."""
-    stack, found = [df._jdf.queryExecution().executedPlan()], 0
+def session_settings(spark) -> dict:
+    return {key: spark.conf.get(key) for key in SPARK_DEFAULTS}
+
+
+def plan_nodes(df, name: str) -> list:
+    """The ``name`` nodes of ``df``'s executed plan, found by walking the plan
+    tree's children. A cached relation's own plan is not a child, so the
+    nodes that built Ã are not found (its plan string shows them)."""
+    stack, found = [df._jdf.queryExecution().executedPlan()], []
     while stack:
         node = stack.pop()
-        found += node.getClass().getSimpleName() == "ShuffleExchangeExec"
+        if node.getClass().getSimpleName() == name:
+            found.append(node)
         children = node.children()
         stack += [children.apply(i) for i in range(children.size())]
     return found
+
+
+@pytest.fixture
+def spark_defaults(spark):
+    """The shared session at ``SPARK_DEFAULTS``; its settings are restored
+    afterwards."""
+    old = session_settings(spark)
+    for key, value in SPARK_DEFAULTS.items():
+        spark.conf.set(key, value)
+    yield spark
+    for key, value in old.items():
+        spark.conf.set(key, value)
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +118,10 @@ class TestSparkCpi:
 
     def test_empty_window_returns_zero_vector(self, spark, setup):
         g, norm = setup
-        out = cpi_spark(
-            norm, seed_vector_df(spark, 0), s_iter=5, t_iter=4, eps=1e-3
-        )
+        q = seed_vector_df(spark, 0)
+        with SparkJobs(spark) as count:
+            out = cpi_spark(norm, q, s_iter=5, t_iter=4, eps=1e-3)
+        assert count.jobs <= 1  # no superstep runs
         assert l1_norm(out) == 0.0
 
     def test_negative_s_iter_raises(self, spark, setup):
@@ -114,18 +147,20 @@ class TestSparkCpi:
         assert len(set(rdds().keySet()) - before) == 1
         assert out.count() > 0
 
-    def test_shuffle_partitions_restored(self, spark, setup):
+    def test_shuffle_partitions_restored(self, spark_defaults, setup):
+        """The scope pins all four settings, and a session whose values all
+        differ from the pinned ones has its own back afterwards."""
         _, norm = setup
-        before = {k: spark.conf.get(k) for k in SESSION_KEYS}
-        cpi_spark(norm, seed_vector_df(spark, 0), s_iter=0, t_iter=1)
-        assert {k: spark.conf.get(k) for k in SESSION_KEYS} == before
+        with shuffle_partitions(spark_defaults):
+            assert session_settings(spark_defaults) == PINNED
+        release(cpi_spark(norm, seed_vector_df(spark_defaults, 0), s_iter=0, t_iter=1))
+        assert session_settings(spark_defaults) == SPARK_DEFAULTS
 
-    def test_session_settings_restored_on_error(self, spark, setup):
+    def test_session_settings_restored_on_error(self, spark_defaults, setup):
         _, norm = setup
-        before = {k: spark.conf.get(k) for k in SESSION_KEYS}
         with pytest.raises(AnalysisException, match="score"):
-            cpi_spark(norm, spark.range(3))  # no score column
-        assert {k: spark.conf.get(k) for k in SESSION_KEYS} == before
+            cpi_spark(norm, spark_defaults.range(3))  # no score column
+        assert session_settings(spark_defaults) == SPARK_DEFAULTS
 
 
 class TestSuperstepCost:
@@ -151,8 +186,21 @@ class TestSuperstepCost:
         assert abs(observed - l1_norm(x2)) < 1e-15
         release(x2)
 
+    def test_one_job_on_spark_defaults(self, spark_defaults, second_step):
+        """A broadcast of the vector would be a job of its own."""
+        with SparkJobs(spark_defaults) as count:
+            x2, _ = checkpoint(second_step)
+        assert count.jobs == 1
+        release(x2)
+
     def test_one_shuffle_exchange(self, second_step):
-        assert shuffle_exchanges(second_step) == 1
+        assert len(plan_nodes(second_step, "ShuffleExchangeExec")) == 1
+
+    def test_only_the_vector_is_sorted(self, second_step):
+        """Ã arrives sorted by ``src`` from its degree join, so the
+        sort-merge join sorts only the vector side."""
+        (sort,) = plan_nodes(second_step, "SortExec")
+        assert sort.sortOrder().apply(0).child().name() == "id"
 
     @pytest.mark.parametrize(
         "seeded,window,supersteps",
@@ -170,6 +218,25 @@ class TestSuperstepCost:
             out = cpi_spark(norm, q, **window)
         assert count.jobs == supersteps + 2
         release(out)
+
+    def test_call_on_spark_defaults(self, spark_defaults, setup):
+        """The same k + 2 jobs, and the same vector, on Spark's defaults."""
+        g, norm = setup
+        with SparkJobs(spark_defaults) as count:
+            out = cpi_spark(norm, seed_vector_df(spark_defaults, 7), s_iter=0, t_iter=3)
+        assert count.jobs == 3 + 2
+        got = vector_to_numpy(out, g.n)
+        release(out)
+        assert np.abs(got - cpi(g, seed_vector(g.n, 7), s_iter=0, t_iter=3)).sum() < 1e-10
+
+    def test_normalize_one_job_on_spark_defaults(self, spark_defaults, setup):
+        g, _ = setup
+        edges = edges_from_numpy(spark_defaults, g.src, g.dst)
+        with SparkJobs(spark_defaults) as count:
+            norm = normalize_edges(edges)
+        assert count.jobs == 1
+        assert norm.rdd.getNumPartitions() == PARTITIONS
+        norm.unpersist()
 
 
 class TestDanglingDrain:

@@ -77,6 +77,13 @@ class TestSparkTPA:
         at the session's shuffle-partition default."""
         assert spark_tpa.norm_edges.rdd.getNumPartitions() == PARTITIONS
 
+    def test_norm_edges_not_repartitioned(self, spark_tpa):
+        """The degree join already partitions Ã by ``src``: its plan holds the
+        join's two exchanges and no repartition."""
+        plan = spark_tpa.norm_edges._jdf.queryExecution().executedPlan().toString()
+        assert "REPARTITION_BY_NUM" not in plan
+        assert plan.count("Exchange hashpartitioning") == 2
+
     @pytest.mark.parametrize("seed", [-1, N])
     def test_seed_outside_node_ids_rejected(self, spark_tpa, seed):
         with pytest.raises(ValueError, match="outside the node ids"):
