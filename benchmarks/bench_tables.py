@@ -9,7 +9,7 @@ tables share one cached run: the first of them (T1a) pays for all five.
 
 Knobs, passed to the builders that take them: ``BENCH_SF`` (dataset scale,
 default 1.0), ``BENCH_SEEDS`` (query seeds, default 3), ``BENCH_CAP``
-(per-phase deadline seconds, default 120).
+(per-phase time limit in seconds, default 120).
 """
 import os
 

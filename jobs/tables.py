@@ -16,7 +16,7 @@ FLAGS = {
     "datasets": ("--datasets", dict(nargs="+", choices=DATASET_ORDER, help="dataset subset")),
     "sf": ("--sf", dict(type=float, help="dataset scale factor")),
     "n_seeds": ("--seeds", dict(type=int, help="number of random seed nodes")),
-    "time_cap": ("--cap", dict(type=float, help="per-phase deadline seconds")),
+    "time_cap": ("--cap", dict(type=float, help="per-phase time limit in seconds")),
 }
 
 

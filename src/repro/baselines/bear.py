@@ -18,13 +18,13 @@ setting), shrinking the index at an accuracy cost. Hub selection uses
 
 Preprocessing is dominated by the dense Schur complement — quadratic-ish in
 the hub count — which is why BEAR-APPROX only finishes on the smallest
-dataset within the deadline, exactly the paper's observed failure mode.
+dataset within the time limit, exactly the paper's observed failure mode.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.deadline import Deadline
+from repro.deadline import check
 from repro.baselines.partition import slashburn_lite
 from repro.graph.linalg import LocalGraph
 
@@ -55,13 +55,12 @@ class BearApprox:
         a[np.abs(a) < self.drop_tol] = 0.0
         return a
 
-    def preprocess(self, deadline: Deadline | None = None) -> None:
+    def preprocess(self) -> None:
         g, c = self.graph, self.c
         hubs, comps = slashburn_lite(
             g, block_max=self.block_max, hub_step_frac=self.hub_step_frac
         )
-        if deadline is not None:
-            deadline.check()
+        check()
         self.hubs = hubs
         self.comps = comps
         n2 = len(hubs)
@@ -98,8 +97,7 @@ class BearApprox:
         bounds = np.searchsorted(eb, np.arange(len(comps) + 1))
         self.h11_inv: list[np.ndarray] = []
         for ci, nodes in enumerate(comps):
-            if deadline is not None:
-                deadline.check()
+            check()
             Hb = np.eye(len(nodes))
             lo, hi = bounds[ci], bounds[ci + 1]
             if hi > lo:
@@ -122,8 +120,7 @@ class BearApprox:
         comp12 = comp_of[r12]
         comp21 = comp_of[c21]
         for ci, nodes in enumerate(comps):
-            if deadline is not None:
-                deadline.check()
+            check()
             sel12 = comp12 == ci
             sel21 = comp21 == ci
             if not sel12.any() or not sel21.any():
@@ -147,7 +144,7 @@ class BearApprox:
             out[nodes] = self.h11_inv[ci] @ x1[nodes]
         return out
 
-    def query(self, seed: int, deadline: Deadline | None = None) -> np.ndarray:
+    def query(self, seed: int) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("call preprocess() before query()")
         g, c = self.graph, self.c

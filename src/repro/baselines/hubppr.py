@@ -13,7 +13,7 @@ The hub index precomputes and caches backward-push results for the
 highest-degree nodes (the preprocessing phase of Fig. 1a / the index bytes
 of Fig. 3). A *full-vector* RWR query — what the TPA comparison needs —
 must run one bidirectional estimate per target, which is where HubPPR's
-10⁴× online blow-up in the paper comes from; our cooperative deadline
+10⁴× online blow-up in the paper comes from; our cooperative time limit
 reproduces the omitted bars. Parameters follow the paper's setup
 (δ, p_fail) = (1/n, 1/n): walks ≈ log(1/p_fail)·r_max/δ scaled down by the
 same factor our graphs are scaled down.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.deadline import Deadline
+from repro.deadline import check
 from repro.graph.linalg import LocalGraph
 
 __all__ = ["HubPPR", "backward_push", "forward_walk_endpoints"]
@@ -130,14 +130,13 @@ class HubPPR:
         self.hub_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._fitted = False
 
-    def preprocess(self, deadline: Deadline | None = None) -> None:
+    def preprocess(self) -> None:
         """Build the hub index: cached backward pushes for top-degree nodes."""
         g = self.graph
         hubs = np.argsort(-(g.in_deg + g.out_deg), kind="stable")[: self.n_hubs]
         self.hub_cache = {}
         for h in hubs:
-            if deadline is not None:
-                deadline.check()
+            check()
             p, res = backward_push(g, int(h), c=self.c, r_max=self.r_max)
             # store sparsely: (indices, values) pairs
             pi, ri = np.flatnonzero(p), np.flatnonzero(res)
@@ -155,7 +154,7 @@ class HubPPR:
         p, res = backward_push(self.graph, t, c=self.c, r_max=self.r_max)
         return float(p[seed] + fwd @ res)
 
-    def query(self, seed: int, deadline: Deadline | None = None) -> np.ndarray:
+    def query(self, seed: int) -> np.ndarray:
         """Full RWR vector: one bidirectional estimate per target node."""
         if not self._fitted:
             raise RuntimeError("call preprocess() before query()")
@@ -163,8 +162,8 @@ class HubPPR:
         fwd = forward_walk_endpoints(g, seed, self.n_walks, c=self.c, rng=self.rng)
         out = np.empty(g.n)
         for t in range(g.n):
-            if deadline is not None and t % 64 == 0:
-                deadline.check()
+            if t % 64 == 0:
+                check()
             out[t] = self._target_estimate(t, seed, fwd)
         return out
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.deadline import Deadline
+from repro.deadline import check
 from repro.baselines.partition import bfs_blocks
 from repro.graph.linalg import LocalGraph
 
@@ -64,7 +64,7 @@ class NBLin:
         return out
 
     # -- preprocessing -------------------------------------------------------
-    def preprocess(self, deadline: Deadline | None = None) -> None:
+    def preprocess(self) -> None:
         g, c = self.graph, self.c
         rng = np.random.default_rng(self.seed)
         self.labels = bfs_blocks(g, self.block_size)
@@ -83,8 +83,7 @@ class NBLin:
         bounds = np.searchsorted(eb, np.arange(n_blocks + 1))
         pos = np.empty(g.n, dtype=np.int64)  # node -> index inside its block
         for b in range(n_blocks):
-            if deadline is not None:
-                deadline.check()
+            check()
             nodes = np.flatnonzero(self.labels == b)
             pos[nodes] = np.arange(len(nodes))
             self.block_nodes.append(nodes)
@@ -106,8 +105,7 @@ class NBLin:
         G = rng.standard_normal((g.n, k))
         Y = self._w2_mat(G, transpose=False)
         for _ in range(2):
-            if deadline is not None:
-                deadline.check()
+            check()
             Qr, _ = np.linalg.qr(Y)
             Y = self._w2_mat(self._w2_mat(Qr, transpose=True), transpose=False)
         Qr, _ = np.linalg.qr(Y)
@@ -116,8 +114,7 @@ class NBLin:
         self.U = (Qr @ Ub)[:, :t]
         self.sv = sv[:t]
         self.V = Vt[:t, :]
-        if deadline is not None:
-            deadline.check()
+        check()
 
         # Λ = ( ((1-c)S)⁻¹ − V Q⁻¹ U )⁻¹ and the precomputed Q⁻¹U.
         QinvU = self._q_inv_apply(self.U)
@@ -142,7 +139,7 @@ class NBLin:
         return out
 
     # -- online --------------------------------------------------------------
-    def query(self, seed: int, deadline: Deadline | None = None) -> np.ndarray:
+    def query(self, seed: int) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("call preprocess() before query()")
         g, c = self.graph, self.c

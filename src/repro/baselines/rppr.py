@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.deadline import Deadline
+from repro.deadline import check
 from repro.graph.linalg import LocalGraph
 
 __all__ = ["RPPR", "BRPPR"]
@@ -45,17 +45,16 @@ class RPPR:
         self.c = c
         self.theta = theta
 
-    def preprocess(self, deadline: Deadline | None = None) -> None:
+    def preprocess(self) -> None:
         """No preprocessing (online-only method)."""
 
-    def query(self, seed: int, deadline: Deadline | None = None) -> np.ndarray:
+    def query(self, seed: int) -> np.ndarray:
         g, c = self.graph, self.c
         p = np.zeros(g.n)
         res = np.zeros(g.n)
         res[seed] = 1.0
         for _ in range(_MAX_ROUNDS):
-            if deadline is not None:
-                deadline.check()
+            check()
             active = res >= self.theta
             if not active.any():
                 break
@@ -92,7 +91,7 @@ class BRPPR:
         self.inner_eps = inner_eps
         self.max_outer = max_outer
 
-    def query(self, seed: int, deadline: Deadline | None = None) -> np.ndarray:
+    def query(self, seed: int) -> np.ndarray:
         g, c = self.graph, self.c
         p = np.zeros(g.n)
         res = np.zeros(g.n)
@@ -100,8 +99,7 @@ class BRPPR:
         active = np.zeros(g.n, dtype=bool)
         active[seed] = True
         for _ in range(self.max_outer):
-            if deadline is not None:
-                deadline.check()
+            check()
             # expand: pull frontier nodes (non-active, residual>0) into the
             # active set, largest residual first, until frontier mass < κ
             frontier = np.flatnonzero(~active & (res > 0))
@@ -123,14 +121,13 @@ class BRPPR:
                 p += c * mass
                 res = np.where(active, 0.0, res)
                 res = res + (1.0 - c) * g.push(mass)
-                if deadline is not None:
-                    deadline.check()
+                check()
             out_mass = res[~active].sum()
             if out_mass < self.kappa:
                 break
         return p + c * res
 
-    def preprocess(self, deadline: Deadline | None = None) -> None:
+    def preprocess(self) -> None:
         """No preprocessing (online-only method)."""
 
     @property

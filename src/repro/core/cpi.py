@@ -13,6 +13,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 
 from repro.core.local_cpi import DEFAULT_C, DEFAULT_EPS, MAX_ITER
+from repro.deadline import check
 from repro.graph.edges import (  # noqa: F401  (l1_norm: looked up here by perfbench's tracer)
     checkpoint,
     l1_norm,
@@ -41,9 +42,9 @@ def cpi_spark(
     x⁽⁰⁾ = c·q, exactly as Algorithm 1, in ``norm_edges``' session, for at
     most ``MAX_ITER`` supersteps. A call with k supersteps runs k + 2
     Spark jobs: x⁽⁰⁾, one per superstep, and the window sum; an empty
-    window (``t_iter < s_iter``) runs none of them. The returned
-    DataFrame is checkpointed and safe to reuse after this function returns;
-    the interim vectors' checkpoints are released before it does.
+    window (``t_iter < s_iter``) runs none of them; a superstep first calls
+    ``deadline.check()``. The result is checkpointed and safe to reuse; the
+    interim vectors' checkpoints are released before return or raise.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
@@ -56,14 +57,14 @@ def cpi_spark(
         try:
             parts: list[DataFrame] = []
             for i in range(MAX_ITER):
-                in_window = i >= s_iter and (t_iter is None or i <= t_iter)
-                if in_window:
+                if i >= s_iter:  # and i <= t_iter: the loop ends at t_iter
                     parts.append(x)
                 # ‖x⁽ⁱ⁾‖₁ — the convergence condition of Algorithm 1 (lines 8-10).
                 if norm < eps:
                     break
                 if t_iter is not None and i >= t_iter:
                     break
+                check()
                 x, norm = checkpoint(propagate(norm_edges, x, c))
                 xs.append(x)
             return (sum_vectors(parts) if parts else empty).localCheckpoint(eager=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.deadline import check
 from repro.graph.linalg import LocalGraph
 
 __all__ = [
@@ -53,7 +54,7 @@ def cpi(
     Iterations stop early once ``‖x⁽ⁱ⁾‖₁ < eps`` (the convergence condition),
     or at ``t_iter`` when given (inclusive, matching the paper's window
     notation: family = iterations 0..S-1 is ``t_iter=S-1``), and in any case
-    after ``MAX_ITER`` iterations.
+    after ``MAX_ITER`` iterations. Each push first calls ``deadline.check()``.
     """
     if s_iter < 0:
         raise ValueError("s_iter must be >= 0")
@@ -69,6 +70,7 @@ def cpi(
             break
         if t_iter is not None and i >= t_iter:
             break
+        check()
         x = (1.0 - c) * graph.push(x)
     return r
 
@@ -90,17 +92,15 @@ def pagerank(
     c: float = DEFAULT_C,
     eps: float = DEFAULT_EPS,
     s_iter: int = 0,
-    t_iter: int | None = None,
 ) -> np.ndarray:
-    """PageRank via CPI with the uniform seed vector; ``s_iter``/``t_iter``
-    select a window of iterations (Algorithm 2 uses ``s_iter=T``)."""
+    """PageRank via CPI with the uniform seed vector, summed from iteration
+    ``s_iter`` on (Algorithm 2 uses ``s_iter=T``)."""
     return cpi(
         graph,
         uniform_vector(graph.n),
         c=c,
         eps=eps,
         s_iter=s_iter,
-        t_iter=t_iter,
     )
 
 

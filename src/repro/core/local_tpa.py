@@ -59,10 +59,9 @@ class LocalTPA:
         self.r_stranger: np.ndarray | None = None
 
     # -- Algorithm 2 -------------------------------------------------------
-    def preprocess(self, deadline=None) -> np.ndarray:
+    def preprocess(self) -> np.ndarray:
         """Compute the approximate stranger vector p_stranger (iterations
-        T..∞ of PageRank-CPI). ``deadline`` is accepted for interface parity
-        with the baselines; one CPI run is never interrupted mid-way."""
+        T..∞ of PageRank-CPI)."""
         self.r_stranger = pagerank(self.graph, c=self.c, eps=self.eps, s_iter=self.T)
         return self.r_stranger
 
@@ -74,13 +73,13 @@ class LocalTPA:
         q = seed_vector(self.graph.n, seed)
         return cpi(self.graph, q, c=self.c, eps=self.eps, s_iter=0, t_iter=self.S - 1)
 
-    def query(self, seed: int, deadline=None) -> np.ndarray:
+    def query(self, seed: int) -> np.ndarray:
         """r_TPA = r_TPA-NA + r̃_stranger."""
         if self.r_stranger is None:
             raise RuntimeError("call preprocess() before query()")
         return self.query_na(seed) + self.r_stranger
 
-    def query_na(self, seed: int, deadline=None) -> np.ndarray:
+    def query_na(self, seed: int) -> np.ndarray:
         """r_TPA-NA = r_family + α·r_family (stranger term omitted)."""
         fam = self.family(seed)
         return fam * (1.0 + neighbor_scale(self.c, self.S, self.T))

@@ -31,9 +31,9 @@ class SparkTPA:
     """Two Phase Approximation on Spark DataFrames.
 
     ``edges`` is the raw edge DataFrame; it is row-normalised (and persisted)
-    at construction. ``n`` is the node-id domain size (ids 0..n-1). The
-    vectors that ``preprocess``, ``query`` and ``query_na`` return stay
-    checkpointed until the caller passes them to ``release``.
+    at construction; an endpoint outside the node ids 0..n-1 raises
+    ``ValueError``. The vectors that ``preprocess``, ``query`` and
+    ``query_na`` return stay checkpointed until passed to ``release``.
     """
 
     name = "TPA-Spark"
@@ -56,7 +56,7 @@ class SparkTPA:
         self.S = S
         self.T = T
         self.eps = eps
-        self.norm_edges = normalize_edges(edges)
+        self.norm_edges = normalize_edges(edges, n)
         self.r_stranger: DataFrame | None = None
 
     # -- Algorithm 2 -------------------------------------------------------

@@ -1,5 +1,5 @@
 """Method runner: builds each method, times its phases under a cooperative
-deadline, and scores its output against the exact RWR oracle.
+time limit, and scores its output against the exact RWR oracle.
 
 Mirrors the paper's protocol (Section IV-A): restart probability c=0.15,
 convergence tolerance 1e-9, per-dataset S/T from Table II, averages over
@@ -23,7 +23,7 @@ from repro.baselines.nb_lin import NBLin
 from repro.baselines.rppr import BRPPR, RPPR
 from repro.core.local_cpi import exact_rwr
 from repro.core.local_tpa import LocalTPA
-from repro.deadline import Deadline, OutOfTime
+from repro.deadline import OutOfTime, time_limit
 from repro.experiments.datasets import DATASET_ORDER, DatasetSpec
 from repro.graph.linalg import LocalGraph
 from repro.metrics import l1_error, spearman
@@ -52,7 +52,7 @@ ONLINE_ONLY = {"RPPR", "BRPPR"}
 
 # Datasets whose preprocessing timed out in the paper (Figs. 1 and 3): NB-LIN
 # from Pokec on, BEAR-APPROX from Google on. The harness still enforces a real
-# deadline; these sets only avoid *scheduling* work the paper showed as OOT.
+# time limit; these sets only avoid *scheduling* work the paper showed as OOT.
 EXPECTED_OOT: dict[str, set[str]] = {
     "NB-LIN": {
         "pokec-lite",
@@ -153,21 +153,18 @@ def run_dataset(
     methods: list[str] | None = None,
     n_seeds: int = 5,
     time_cap: float | None = 60.0,
-    skip_expected_oot: bool = True,
-    exact: dict[int, np.ndarray] | None = None,
 ) -> list[MethodRow]:
     """Run every method on one dataset; returns one MethodRow per method
     plus a TPA-NA row derived from the TPA object (Fig. 5 ablation)."""
     methods = METHOD_ORDER if methods is None else methods
     seeds = pick_seeds(graph, n_seeds)
-    if exact is None:
-        exact = exact_vectors(graph, seeds)
+    exact = exact_vectors(graph, seeds)
     rows: list[MethodRow] = []
     tpa_obj: LocalTPA | None = None
     for name in methods:
         row = MethodRow(dataset=dataset, method=name)
         rows.append(row)
-        if skip_expected_oot and dataset in EXPECTED_OOT.get(name, set()):
+        if dataset in EXPECTED_OOT.get(name, set()):
             row.status = "OOT"
             continue
         method = build_method(name, graph, spec)
@@ -175,19 +172,20 @@ def run_dataset(
         if name not in ONLINE_ONLY:
             t0 = time.perf_counter()
             try:
-                method.preprocess(Deadline(time_cap))
+                with time_limit(time_cap):
+                    method.preprocess()
             except OutOfTime:
                 row.status = "OOT"
                 continue
             row.pre_time = time.perf_counter() - t0
         row.bytes = method.preprocessed_bytes
-        if skip_expected_oot and dataset in EXPECTED_ONLINE_OOT.get(name, set()):
+        if dataset in EXPECTED_ONLINE_OOT.get(name, set()):
             row.status = "OOT-online"
             continue
-        # online phase, averaged over seeds
+        # online phase, averaged over seeds, each query under its own limit
         try:
             row.online_time, row.l1, row.spearman = score_queries(
-                lambda s: method.query(s, Deadline(time_cap)), seeds, exact
+                time_limit(time_cap)(method.query), seeds, exact
             )
         except OutOfTime:
             row.status = "OOT-online"

@@ -82,7 +82,7 @@ def edges_from_numpy(spark: SparkSession, src: np.ndarray, dst: np.ndarray) -> D
     """Edge DataFrame from numpy endpoint arrays (through Arrow)."""
     pdf = pd.DataFrame({"src": np.asarray(src, np.int64), "dst": np.asarray(dst, np.int64)})
     with shuffle_partitions(spark):
-        return spark.createDataFrame(pdf)
+        return spark.createDataFrame(pdf, "src long, dst long")  # no schema to infer from 0 edges
 
 
 def out_degrees(edges: DataFrame) -> DataFrame:
@@ -90,23 +90,30 @@ def out_degrees(edges: DataFrame) -> DataFrame:
     return edges.groupBy(F.col("src").alias("id")).agg(F.count("*").alias("out_deg"))
 
 
-def normalize_edges(edges: DataFrame) -> DataFrame:
+def normalize_edges(edges: DataFrame, n: int) -> DataFrame:
     """Row-normalised edges ``(src, dst, w)`` with ``w = 1/out_deg(src)``.
 
     This is Ã in edge form; dangling nodes simply contribute no rows. The
     degree join runs inside ``shuffle_partitions``, so its result is
     hash-partitioned by ``src`` at ``PARTITIONS`` and sorted by ``src``
     (edges co-located with their source vertex, as in Pregel/GraphX). It is
-    persisted and materialised — it is reused every iteration.
+    persisted and materialised — it is reused every iteration. That job also
+    counts the edges with a null endpoint or one outside [0, n): ``ValueError`` if any.
     """
+    obs = Observation()
+    ok = F.col("src").between(0, n - 1) & F.col("dst").between(0, n - 1)  # null if one is null
+    observed = edges.observe(obs, F.sum(F.when(ok, 0).otherwise(1)).alias("bad"))
     deg = out_degrees(edges)
     with shuffle_partitions(edges.sparkSession):
         norm = (
-            edges.join(deg, edges["src"] == deg["id"], "inner")
+            observed.join(deg, observed["src"] == deg["id"], "inner")
             .select("src", "dst", (F.lit(1.0) / F.col("out_deg")).alias("w"))
             .persist()
         )
         norm.count()  # materialise so iteration timing excludes normalisation
+    if obs.get["bad"]:
+        norm.unpersist()
+        raise ValueError(f"{obs.get['bad']} edges have a null endpoint or one outside [0, {n})")
     return norm
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.bear import BearApprox
 from repro.core.local_cpi import exact_rwr
-from repro.deadline import Deadline, OutOfTime
+from repro.deadline import OutOfTime, time_limit
 from repro.metrics import l1_error, spearman
 
 from helpers import graph_from, small_dcsbm
@@ -78,10 +78,9 @@ class TestBehaviour:
         assert BearApprox(g).preprocessed_bytes == 0
 
     def test_deadline_respected(self, g):
-        d = Deadline(0.0)
-        time.sleep(0.01)
-        with pytest.raises(OutOfTime):
-            BearApprox(g, block_max=20).preprocess(d)
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            BearApprox(g, block_max=20).preprocess()
 
     def test_hub_seed_query(self, g):
         """Seeding at a hub exercises the q2 path of back-substitution."""

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.hubppr import HubPPR, backward_push, forward_walk_endpoints
 from repro.core.local_cpi import exact_rwr
-from repro.deadline import Deadline, OutOfTime
+from repro.deadline import OutOfTime, time_limit
 from repro.metrics import l1_error, spearman
 
 from helpers import C, small_dcsbm
@@ -104,13 +104,11 @@ class TestHubPPR:
     def test_deadline_respected_online(self, g):
         m = HubPPR(g, r_max=1e-4)
         m.preprocess()
-        d = Deadline(0.0)
-        time.sleep(0.01)
-        with pytest.raises(OutOfTime):
-            m.query(7, d)
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            m.query(7)
 
     def test_deadline_respected_preprocess(self, g):
-        d = Deadline(0.0)
-        time.sleep(0.01)
-        with pytest.raises(OutOfTime):
-            HubPPR(g, n_hubs=50).preprocess(d)
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            HubPPR(g, n_hubs=50).preprocess()

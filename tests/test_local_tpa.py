@@ -1,10 +1,13 @@
 """Tests for TPA (Algorithms 2–3): the paper's lemma/theorem bounds, the
 decomposition algebra, and the ablations' qualitative behaviour."""
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.local_cpi import cpi, exact_rwr, pagerank, seed_vector
 from repro.core.local_tpa import LocalTPA, neighbor_scale
+from repro.deadline import OutOfTime, time_limit
 from repro.metrics import l1_error, spearman
 
 from helpers import C, small_dcsbm, small_er
@@ -110,6 +113,27 @@ class TestAlgorithm3:
     def test_total_mass_close_to_one(self, g, tpa):
         """‖r_TPA‖₁ = 1 by construction on dangling-free graphs."""
         assert tpa.query(17).sum() == pytest.approx(1.0, abs=1e-4)
+
+
+class TestTimeLimit:
+    """Both phases check the limit once per CPI iteration."""
+
+    def test_preprocess_out_of_time(self, g):
+        t = LocalTPA(g, c=C, S=4, T=10)
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            t.preprocess()
+        assert t.r_stranger is None
+
+    def test_query_out_of_time(self, tpa):
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            tpa.query(17)
+
+    def test_within_limit_same_answer(self, tpa):
+        with time_limit(60.0):
+            r = tpa.query(17)
+        assert np.array_equal(r, tpa.query(17))
 
 
 class TestBounds:

@@ -59,9 +59,9 @@ class TestDegreesOracle:
             )
 
     def test_normalized_edges(self, tiny, edges_pdf):
-        _, _, _, edges = tiny
+        n, _, _, edges = tiny
         assert_equivalent(
-            normalize_edges(edges),
+            normalize_edges(edges, n),
             """
             SELECT e.src, e.dst, 1.0 / d.out_deg AS w
             FROM edges e
@@ -72,9 +72,9 @@ class TestDegreesOracle:
         )
 
     def test_normalized_weights_sum_to_one_per_source(self, tiny):
-        _, _, _, edges = tiny
+        n, _, _, edges = tiny
         sums = (
-            normalize_edges(edges)
+            normalize_edges(edges, n)
             .groupBy("src")
             .agg(F.sum("w").alias("s"))
             .toPandas()["s"]
@@ -85,7 +85,7 @@ class TestDegreesOracle:
 class TestPropagateOracle:
     def test_one_step_matches_sql(self, spark, tiny, edges_pdf):
         n, src, dst, edges = tiny
-        norm = normalize_edges(edges)
+        norm = normalize_edges(edges, n)
         rng = np.random.default_rng(0)
         x_pdf = pd.DataFrame({"id": np.arange(n), "score": rng.random(n)})
         x = spark.createDataFrame(x_pdf)
@@ -114,7 +114,7 @@ class TestPropagateOracle:
         rng = np.random.default_rng(1)
         xv = rng.random(n)
         x = spark.createDataFrame(pd.DataFrame({"id": np.arange(n), "score": xv}))
-        got = vector_to_numpy(propagate(normalize_edges(edges), x, 0.15), n)
+        got = vector_to_numpy(propagate(normalize_edges(edges, n), x, 0.15), n)
         assert np.allclose(got, 0.85 * g.push(xv))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.rppr import BRPPR, RPPR
 from repro.core.local_cpi import exact_rwr
-from repro.deadline import Deadline, OutOfTime
+from repro.deadline import OutOfTime, time_limit
 from repro.metrics import l1_error, spearman
 
 from helpers import small_dcsbm
@@ -56,10 +56,9 @@ class TestRPPR:
             RPPR(g, theta=0.0)
 
     def test_deadline_respected(self, g):
-        d = Deadline(0.0)
-        time.sleep(0.01)
-        with pytest.raises(OutOfTime):
-            RPPR(g, theta=1e-9).query(7, d)
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            RPPR(g, theta=1e-9).query(7)
 
     def test_larger_theta_faster_coarser(self, g, exact):
         coarse = RPPR(g, theta=5e-2).query(7)
@@ -95,10 +94,9 @@ class TestBRPPR:
             BRPPR(g, kappa=-1.0)
 
     def test_deadline_respected(self, g):
-        d = Deadline(0.0)
-        time.sleep(0.01)
-        with pytest.raises(OutOfTime):
-            BRPPR(g, kappa=1e-9).query(7, d)
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            BRPPR(g, kappa=1e-9).query(7)
 
     def test_seed_gets_highest_score(self, g):
         r = BRPPR(g, kappa=1e-3).query(7)

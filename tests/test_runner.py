@@ -1,4 +1,6 @@
-"""Tests for the experiment runner (timing, deadlines, accounting)."""
+"""Tests for the experiment runner (timing, time limits, accounting)."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ class TestBuildMethod:
         m = build_method("RPPR", g, spec)
         assert m.theta == pytest.approx(min(2e-2, 1e-4 * spec.paper_n / g.n))
 
+    def test_interface_takes_no_time_limit(self, ds):
+        """The harness interface is ``preprocess()``, ``query(seed)`` and TPA's
+        ``query_na(seed)``: the time limit is a scope, never a parameter."""
+        g, spec = ds
+        for name in METHOD_ORDER:
+            m = build_method(name, g, spec)
+            assert list(inspect.signature(m.preprocess).parameters) == [], name
+            assert list(inspect.signature(m.query).parameters) == ["seed"], name
+        tpa = build_method("TPA", g, spec)
+        assert list(inspect.signature(tpa.query_na).parameters) == ["seed"]
+
     def test_unknown_method(self, ds):
         g, spec = ds
         with pytest.raises(ValueError):
@@ -77,9 +90,7 @@ class TestRunDataset:
     @pytest.fixture(scope="class")
     def rows(self, ds):
         g, spec = ds
-        return run_dataset(
-            "slashdot-lite", g, spec, n_seeds=2, time_cap=30.0, skip_expected_oot=False
-        )
+        return run_dataset("slashdot-lite", g, spec, n_seeds=2, time_cap=30.0)
 
     def test_all_methods_present(self, rows):
         methods = {r.method for r in rows}
@@ -147,6 +158,5 @@ class TestRunDataset:
             methods=["HubPPR"],
             n_seeds=1,
             time_cap=1e-9,
-            skip_expected_oot=False,
         )
         assert rows[0].status in ("OOT", "OOT-online")

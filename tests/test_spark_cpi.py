@@ -2,6 +2,8 @@
 must be numerically identical (≤1e-10 L1) on every window configuration,
 and a superstep must cost one Spark job with one shuffle, whatever the
 session's own settings."""
+import time
+
 import numpy as np
 import pytest
 from helpers import SparkJobs
@@ -9,6 +11,7 @@ from pyspark.errors import AnalysisException
 
 from repro.core.cpi import cpi_spark
 from repro.core.local_cpi import cpi, seed_vector, uniform_vector
+from repro.deadline import OutOfTime, time_limit
 from repro.graph import generators as gen
 from repro.graph.edges import (
     PARTITIONS,
@@ -78,7 +81,7 @@ def spark_defaults(spark):
 def setup(spark):
     n, src, dst, _ = gen.dcsbm(N, M, n_blocks=4, seed=5)
     g = LocalGraph(n, src, dst)
-    norm = normalize_edges(edges_from_numpy(spark, src, dst))
+    norm = normalize_edges(edges_from_numpy(spark, src, dst), n)
     return g, norm
 
 
@@ -162,6 +165,18 @@ class TestSparkCpi:
             cpi_spark(norm, spark_defaults.range(3))  # no score column
         assert session_settings(spark_defaults) == SPARK_DEFAULTS
 
+    def test_out_of_time(self, spark_defaults, setup):
+        """An expired limit stops the call before its first superstep; x⁽⁰⁾'s
+        checkpoint is released and the session's settings are back."""
+        _, norm = setup
+        rdds = spark_defaults.sparkContext._jsc.getPersistentRDDs
+        before = set(rdds().keySet())
+        with time_limit(0.0), pytest.raises(OutOfTime):
+            time.sleep(0.01)
+            cpi_spark(norm, uniform_vector_df(spark_defaults, N), s_iter=3, eps=1e-2)
+        assert set(rdds().keySet()) - before == set()
+        assert session_settings(spark_defaults) == SPARK_DEFAULTS
+
 
 class TestSuperstepCost:
     """From x⁽¹⁾ on, a superstep's input is a checkpointed superstep output,
@@ -233,7 +248,7 @@ class TestSuperstepCost:
         g, _ = setup
         edges = edges_from_numpy(spark_defaults, g.src, g.dst)
         with SparkJobs(spark_defaults) as count:
-            norm = normalize_edges(edges)
+            norm = normalize_edges(edges, g.n)
         assert count.jobs == 1
         assert norm.rdd.getNumPartitions() == PARTITIONS
         norm.unpersist()
@@ -253,7 +268,7 @@ class TestDanglingDrain:
     def dangling(self, spark):
         g = LocalGraph(7, np.array(self.SRC), np.array(self.DST))
         assert g.n_dangling == 2
-        return g, normalize_edges(edges_from_numpy(spark, g.src, g.dst))
+        return g, normalize_edges(edges_from_numpy(spark, g.src, g.dst), g.n)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(

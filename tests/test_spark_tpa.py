@@ -89,6 +89,16 @@ class TestSparkTPA:
         with pytest.raises(ValueError, match="outside the node ids"):
             spark_tpa.family(seed)
 
+    @pytest.mark.parametrize(
+        "bad_edge", [(None, 1), (0, -1), (1, 4)], ids=["null", "negative", "equal-to-n"]
+    )
+    def test_bad_edge_id_rejected(self, spark, bad_edge):
+        """On the 4-cycle an edge 0→-1 used to move mass into node 3's slot."""
+        rows = [(0, 1), (1, 2), (2, 3), (3, 0), bad_edge]
+        edges = spark.createDataFrame(rows, "src long, dst long")
+        with pytest.raises(ValueError, match=r"1 edges have a null endpoint or one outside \[0, 4"):
+            SparkTPA(spark, edges, 4, S=S, T=T)
+
     def test_invalid_c_rejected(self, spark, g):
         with pytest.raises(ValueError, match="restart probability"):
             SparkTPA(spark, edges_from_numpy(spark, g.src, g.dst), g.n, c=1.5, S=S, T=T)
